@@ -67,8 +67,8 @@ print("L1 equals the weighted trace:",
       norm_route_a(ctx, NormSpec.lp(1), a), "=", weighted_trace(ctx, a))
 
 # A function that is infinite past a threshold exercises the extended-real
-# paths: scales below the essential sup give an infinite modular, and the
-# bisection walks in from above.
+# paths: scales below the essential sup give an infinite modular, so the
+# norm is the larger of the essential sup and the L1 norm.
 print("\ncapped(1) norm of a:", norm_route_a(ctx, NormSpec.orlicz(capped(1.0)), a))
 
 # Membership: is there any positive scale with a finite modular?  Both

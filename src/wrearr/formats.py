@@ -62,15 +62,19 @@ def _require(obj, key, kind, where):
     return value
 
 
+def _float(x, where):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParseError(f"{where}: expected a number")
+    try:
+        return float(x)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ParseError(f"{where}: number out of the float range") from exc
+
+
 def _float_list(raw, where):
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list of numbers")
-    out = []
-    for x in raw:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ParseError(f"{where}: expected a list of numbers")
-        out.append(float(x))
-    return out
+    return [_float(x, where) for x in raw]
 
 
 def step_to_obj(f):
@@ -105,8 +109,7 @@ def _parse_algebra(obj, where="algebra"):
             raise ParseError(f"{where}: block sizes must be integers")
         return Algebra.matrix_blocks(sizes, weights)
     if kind == "steps":
-        bound = _require(obj, "bound", (int, float), where)
-        return Algebra.commutative(float(bound))
+        return Algebra.commutative(_float(_require(obj, "bound", None, where), f"{where}.bound"))
     raise ParseError(f"{where}: unknown algebra kind {kind!r}")
 
 

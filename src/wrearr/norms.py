@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import singular_value_function
 from .errors import ParseError, ValidationError
-from .stepfn import LEBESGUE, StepFunction, ess_sup, integrate
+from .stepfn import LEBESGUE, _piece_masses, ess_sup, integrate
 from .weighted import weighted_rearrangement
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
 
 LUXEMBURG_RELATIVE_WIDTH = 1e-10
 _BRACKET_CAP = 2.0**60
-_PROBE_EXPONENTS = range(-30, 31)
 
 
 class OrliczFunction:
@@ -43,15 +42,19 @@ class OrliczFunction:
 
     ``finite_threshold`` is the supremum of the region where the function is
     finite (``inf`` when it is finite everywhere); evaluation at ``inf``
-    yields ``inf``.
+    yields ``inf``.  ``atom_norm(levels, masses)``, when given, returns the
+    Luxemburg norm in closed form from a function's levels on its pieces of
+    positive mass, finite and not all zero, and those masses; without it the
+    norm is found by bisection.
     """
 
-    __slots__ = ("name", "_fn", "finite_threshold")
+    __slots__ = ("name", "_fn", "finite_threshold", "atom_norm")
 
-    def __init__(self, name, fn, finite_threshold=math.inf):
+    def __init__(self, name, fn, finite_threshold=math.inf, atom_norm=None):
         self.name = name
         self._fn = fn
         self.finite_threshold = float(finite_threshold)
+        self.atom_norm = atom_norm
         if self(0.0) != 0.0:
             raise ValidationError("an Orlicz function must vanish at 0")
         if not math.isinf(self(math.inf)):
@@ -69,12 +72,23 @@ class OrliczFunction:
         return f"OrliczFunction({self.name!r})"
 
 
+def _power_norm(levels, masses, p):
+    """(sum of m v^p)^(1/p) for levels ``v``, finite and not all zero, with
+    masses ``m``.  The levels are divided by the largest first: then ``v^p``
+    cannot overflow, and the sum is at least the largest level's mass, so it
+    cannot underflow to 0."""
+    top = levels.max()
+    return float(top * np.dot((levels / top) ** p, masses) ** (1.0 / p))
+
+
 def power(p):
     """u -> u**p for p >= 1."""
     p = float(p)
     if not p >= 1:
         raise ValidationError("power exponent must be >= 1")
-    return OrliczFunction(f"pow:{p:g}", lambda u: u**p)
+    return OrliczFunction(
+        f"pow:{p:g}", lambda u: u**p, atom_norm=lambda v, m: _power_norm(v, m, p)
+    )
 
 
 def cosh_minus_one():
@@ -95,8 +109,16 @@ def capped(bound):
     b = float(bound)
     if not (b > 0 and math.isfinite(b)):
         raise ValidationError("cap must be positive and finite")
+
+    def atom_norm(levels, masses):
+        # a finite modular needs every v / lam <= b, and is then sum(m v) / lam
+        return max(float(levels.max()) / b, float(np.dot(levels, masses)))
+
     return OrliczFunction(
-        f"capped:{b:g}", lambda u: np.where(u <= b, u, math.inf), finite_threshold=b
+        f"capped:{b:g}",
+        lambda u: np.where(u <= b, u, math.inf),
+        finite_threshold=b,
+        atom_norm=atom_norm,
     )
 
 
@@ -118,15 +140,11 @@ def _parse_float(args, label):
 
 
 class NormSpec:
-    """Which norm to compute: Lp for p in [1, inf], or an Orlicz norm.
+    """Which norm to compute: Lp for p in [1, inf], or an Orlicz norm."""
 
-    The measure slot is normally left empty and filled in by whichever
-    route evaluates it.
-    """
+    __slots__ = ("kind", "p", "psi")
 
-    __slots__ = ("kind", "p", "psi", "measure")
-
-    def __init__(self, kind, p=None, psi=None, measure=None):
+    def __init__(self, kind, p=None, psi=None):
         if kind == "lp":
             p = float(p)
             if not p >= 1:
@@ -141,15 +159,14 @@ class NormSpec:
         else:
             raise ValidationError(f"unknown norm kind {kind!r}")
         self.kind = kind
-        self.measure = measure
 
     @classmethod
-    def lp(cls, p, measure=None):
-        return cls("lp", p=p, measure=measure)
+    def lp(cls, p):
+        return cls("lp", p=p)
 
     @classmethod
-    def orlicz(cls, psi, measure=None):
-        return cls("orlicz", psi=psi, measure=measure)
+    def orlicz(cls, psi):
+        return cls("orlicz", psi=psi)
 
     @classmethod
     def parse(cls, text):
@@ -195,33 +212,50 @@ def modular(psi, f, m):
     return integrate(f.map_values(psi), m, math.inf)
 
 
+def _atoms(f, m):
+    """The levels of ``|f|`` on its pieces of positive ``m``-mass, and those
+    masses.  A modular of any scaling of ``f`` depends on nothing else."""
+    masses = _piece_masses(f, m)
+    live = masses > 0
+    return np.abs(f.values[live]), masses[live]
+
+
+def _atom_modular(psi, levels, masses, lam):
+    """modular(psi, f / lam, m) from the atoms of ``f`` under ``m``."""
+    return float(np.dot(psi(levels / lam), masses))
+
+
 def luxemburg_norm(psi, f, m):
     """Luxemburg norm: the least scale ``lam`` with modular(f / lam) <= 1.
 
-    Found by monotone bisection: the bracket grows or shrinks geometrically
-    from the largest value of ``f``, then bisects to a relative width of
-    {width:g}.  Returns 0 for functions vanishing ``m``-almost everywhere and
-    ``inf`` when no finite scale brings the modular below 1.
+    The atoms of ``f`` under ``m`` are taken once; the modular at each scale
+    is a dot product over them.  ``psi.atom_norm`` gives the norm in closed
+    form when set.  Otherwise a monotone bisection finds it: the bracket grows
+    or shrinks geometrically from the largest value of ``|f|``, then bisects
+    to a relative width of {width:g}, or to adjacent floats when the scale is
+    subnormal.  Returns 0 for functions vanishing ``m``-almost everywhere and
+    ``inf`` when ``f`` is infinite on a set of positive mass or no finite
+    scale brings the modular down to 1.
     """
-    f = f.absolute()
-    if f.is_zero():
-        return 0.0
-    sup_ess = ess_sup(f, m)
+    levels, masses = _atoms(f, m)
+    sup_ess = float(levels.max(initial=0.0))
     if sup_ess == 0.0:
         return 0.0
     if math.isinf(sup_ess):
         return math.inf
-    lam0 = f.max_value()
+    if psi.atom_norm is not None:
+        return psi.atom_norm(levels, masses)
+    lam0 = f.max_abs()
     if math.isinf(lam0):
         lam0 = sup_ess
 
     def modular_at(lam):
-        return modular(psi, f.scaled(1.0 / lam), m)
+        return _atom_modular(psi, levels, masses, lam)
 
     if modular_at(lam0) <= 1.0:
         hi = lam0
         lo = lam0 / 2.0
-        while modular_at(lo) <= 1.0:
+        while lo > 0.0 and modular_at(lo) <= 1.0:  # lo is 0 once hi is the least positive float
             hi = lo
             lo /= 2.0
             if hi <= lam0 / _BRACKET_CAP:
@@ -236,6 +270,8 @@ def luxemburg_norm(psi, f, m):
                 return math.inf
     while hi - lo > LUXEMBURG_RELATIVE_WIDTH * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats, as among the subnormals
+            break
         if modular_at(mid) <= 1.0:
             hi = mid
         else:
@@ -248,13 +284,13 @@ luxemburg_norm.__doc__ = luxemburg_norm.__doc__.format(width=LUXEMBURG_RELATIVE_
 
 def lp_norm(f, m, p):
     """(integral of |f|^p d m)^(1/p); essential supremum for p = inf."""
-    g = f.absolute()
-    if math.isinf(p):
-        return ess_sup(g, m)
     if not p >= 1:
         raise ValidationError("Lp norms need p >= 1")
-    total = modular(power(p), g, m)
-    return float(total ** (1.0 / p))
+    levels, masses = _atoms(f, m)
+    sup_ess = float(levels.max(initial=0.0))
+    if math.isinf(p) or sup_ess == 0.0 or math.isinf(sup_ess):
+        return sup_ess
+    return _power_norm(levels, masses, p)
 
 
 def _apply_spec(spec, f, m):
@@ -263,52 +299,44 @@ def _apply_spec(spec, f, m):
     return luxemburg_norm(spec.psi, f, m)
 
 
-def _route_measure(spec, fallback, want_lebesgue):
-    if spec.measure is None:
-        return fallback
-    if spec.measure.is_lebesgue != want_lebesgue:
-        wanted = "Lebesgue" if want_lebesgue else "the weighted"
-        raise ValidationError(f"this route evaluates under {wanted} measure")
-    return spec.measure
-
-
 def norm_route_a(ctx, spec, a):
     """Norm of the singular value function under the weighted measure."""
-    m = _route_measure(spec, ctx.weight.measure(), want_lebesgue=False)
-    return _apply_spec(spec, singular_value_function(a), m)
+    return _apply_spec(spec, singular_value_function(a), ctx.weight.measure())
 
 
 def norm_route_b(ctx, spec, a):
     """Norm of the weighted rearrangement under Lebesgue measure."""
-    m = _route_measure(spec, LEBESGUE, want_lebesgue=True)
-    return _apply_spec(spec, weighted_rearrangement(ctx, a), m)
+    return _apply_spec(spec, weighted_rearrangement(ctx, a), LEBESGUE)
 
 
 def _has_finite_modular(psi, f, m):
-    # probe geometric scales; sufficient for eventually-zero step functions
-    for k in _PROBE_EXPONENTS:
-        if modular(psi, f.scaled(2.0**k), m) < math.inf:
-            return True
-    return False
+    """Whether some positive scaling of ``f`` has a finite ``psi``-modular.
+
+    ``f`` has finitely many pieces, each of finite mass.  When its essential
+    supremum is finite, a large enough scale brings every live level into
+    the region where ``psi`` is finite, which makes the modular finite; when
+    ``f`` is infinite on a set of positive mass, no scale does.  So ``f`` is
+    a member exactly when its essential supremum is finite and either ``psi``
+    is finite somewhere beyond 0 or ``f`` vanishes almost everywhere.
+    """
+    sup_ess = ess_sup(f, m)
+    return math.isfinite(sup_ess) and (psi.finite_threshold > 0 or sup_ess == 0.0)
 
 
 def _membership(spec, f, m):
     if spec.kind == "lp":
-        if math.isinf(spec.p):
-            return math.isfinite(ess_sup(f, m))
-        return _has_finite_modular(power(spec.p), f, m)
+        # |u|^p is finite everywhere, so only an infinite level excludes f
+        return math.isfinite(ess_sup(f, m))
     return _has_finite_modular(spec.psi, f, m)
 
 
 def membership_route_a(ctx, spec, a):
     """Whether some positive scaling of the singular value function has a
     finite modular under the weighted measure."""
-    m = _route_measure(spec, ctx.weight.measure(), want_lebesgue=False)
-    return _membership(spec, singular_value_function(a), m)
+    return _membership(spec, singular_value_function(a), ctx.weight.measure())
 
 
 def membership_route_b(ctx, spec, a):
     """Whether some positive scaling of the weighted rearrangement has a
     finite modular under Lebesgue measure."""
-    m = _route_measure(spec, LEBESGUE, want_lebesgue=True)
-    return _membership(spec, weighted_rearrangement(ctx, a), m)
+    return _membership(spec, weighted_rearrangement(ctx, a), LEBESGUE)

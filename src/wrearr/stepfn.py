@@ -139,7 +139,7 @@ class StepFunction:
 
     def __call__(self, t):
         tt = np.asarray(t, dtype=float)
-        if np.any(tt < 0):
+        if not np.all(tt >= 0):  # also catches nan
             raise ValidationError("step functions are defined on [0, oo)")
         idx = np.searchsorted(self.breakpoints, tt, side="right") - 1
         out = np.zeros_like(tt, dtype=float)

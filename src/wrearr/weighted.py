@@ -65,15 +65,12 @@ def cross_route_tolerance():
 class Weight:
     """Base class for weights, exposed through their density profile.
 
-    Concrete weights provide ``density_at``, the cumulative mass function
-    (continuous, zero at zero, strictly increasing up to ``support_bound``)
-    and its inverse, and the measure with that density.
+    Concrete weights provide the cumulative mass function of their density
+    (continuous, zero at zero, strictly increasing up to ``support_bound``),
+    its inverse, and the measure with that density.
     """
 
     kind = None
-
-    def density_at(self, t):
-        raise NotImplementedError
 
     def cumulative(self, t):
         raise NotImplementedError
@@ -111,9 +108,6 @@ class StepWeight(Weight):
         self.density = density
         self._measure = Measure.with_density(density)
 
-    def density_at(self, t):
-        return self.density(t)
-
     @property
     def support_bound(self):
         return self.density.support_end
@@ -142,9 +136,6 @@ class ExpWeight(Weight):
     kind = "exp"
 
     density = EXPONENTIAL_DENSITY
-
-    def density_at(self, t):
-        return EXPONENTIAL_DENSITY(t)
 
     @property
     def support_bound(self):

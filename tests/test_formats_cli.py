@@ -56,6 +56,20 @@ class TestJsonRoundTrips:
         with pytest.raises(ParseError):
             formats.parse_step({"breakpoints": [0, 1], "values": ["x"]})
 
+    @pytest.mark.parametrize(
+        "algebra,step",
+        [
+            ({"kind": "steps", "bound": True}, [0, 1]),
+            ({"kind": "steps", "bound": 10**400}, [0, 1]),
+            ({"kind": "steps", "bound": 2.0}, [0, True]),
+            ({"kind": "steps", "bound": 2.0}, [0, 10**400]),
+        ],
+    )
+    def test_booleans_and_oversized_integers_are_not_numbers(self, algebra, step):
+        obj = {"algebra": algebra, "step": {"breakpoints": step, "values": [1.0]}}
+        with pytest.raises(ParseError):
+            formats.parse_operator(obj)
+
     def test_validation_errors(self):
         obj = {
             "algebra": {"kind": "matrix", "blocks": [2], "weights": [1.0]},

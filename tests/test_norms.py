@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrearr import (
+    EXPONENTIAL_DENSITY,
     LEBESGUE,
     Algebra,
     ExpWeight,
     Measure,
     NormSpec,
+    OrliczFunction,
     Operator,
     ParseError,
     StepFunction,
@@ -29,11 +33,39 @@ from wrearr import (
     weighted_trace,
 )
 from wrearr.generate import random_context, random_operator, rng_from_seed
+from wrearr.norms import LUXEMBURG_RELATIVE_WIDTH, _atom_modular, _atoms
 
 M3 = Algebra.matrix_blocks([3], [1.0])
 DIAG_312 = Operator.from_diagonal(M3, [3.0, 1.0, 2.0])
 CTX_312 = WeightedContext(M3, StepWeight(StepFunction([0, 1, 3], [2.0, 1.0])))
 ALL_PSIS = [power(1), power(2), power(3), cosh_minus_one(), l_log_l(), capped(1.0)]
+# null on [1, 2) and beyond 3, so pieces there carry no mass
+GAPPED = Measure.with_density(StepFunction([0, 1, 2, 3], [2.0, 0.0, 1.0]))
+EXP = Measure.with_density(EXPONENTIAL_DENSITY)
+# infinite at every u > 0, so only functions vanishing almost everywhere are members
+ZERO_THRESHOLD = OrliczFunction("zero-threshold", lambda u: np.where(u > 0, math.inf, 0.0), 0.0)
+
+
+@st.composite
+def step_functions_with_null_infinities(draw):
+    """Levels in [0, 5] on [0, 45), but ``inf`` on [40, 41), where GAPPED
+    vanishes and the exponential density's mass rounds to zero, and maybe
+    on [1, 2), which is null under GAPPED only."""
+    cuts = draw(st.lists(st.floats(0.05, 44.9), min_size=1, max_size=8, unique=True))
+    bp = np.union1d([0.0, 1.0, 2.0, 3.0, 40.0, 41.0, 45.0], cuts)
+    levels = np.array(
+        draw(st.lists(st.floats(0.0, 5.0), min_size=bp.size - 1, max_size=bp.size - 1))
+    )
+    starts = bp[:-1]
+    levels[(starts >= 40.0) & (starts < 41.0)] = math.inf
+    if draw(st.booleans()):
+        levels[(starts >= 1.0) & (starts < 2.0)] = math.inf
+    return StepFunction(bp, levels)
+
+
+def _bisected(psi):
+    """The same function without its closed-form norm."""
+    return OrliczFunction(psi.name, psi._fn, psi.finite_threshold)
 
 
 class TestOrliczFunctions:
@@ -126,6 +158,37 @@ class TestLuxemburgNorm:
         g = StepFunction([0, 4], [2.0])
         assert luxemburg_norm(capped(1.0), g, LEBESGUE) == pytest.approx(8.0, rel=1e-9)
 
+    @pytest.mark.parametrize("m", [GAPPED, EXP], ids=["step", "exp"])
+    @pytest.mark.parametrize("psi", ALL_PSIS, ids=lambda p: p.name)
+    @given(f=step_functions_with_null_infinities(), lam=st.floats(0.01, 100.0))
+    @settings(max_examples=40, deadline=None)
+    def test_atom_modular_matches_modular_of_scaled_function(self, psi, m, f, lam):
+        expected = modular(psi, f.scaled(1.0 / lam), m)
+        assert _atom_modular(psi, *_atoms(f, m), lam) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [GAPPED, EXP], ids=["step", "exp"])
+    @pytest.mark.parametrize(
+        "psi", [power(1), power(2), power(2.5), power(3), capped(0.5), capped(1.0), capped(4.0)],
+        ids=lambda p: p.name,
+    )
+    @given(f=step_functions_with_null_infinities())
+    @settings(max_examples=40, deadline=None)
+    def test_closed_forms_agree_with_bisection(self, psi, m, f):
+        closed = luxemburg_norm(psi, f, m)
+        bisected = luxemburg_norm(_bisected(psi), f, m)
+        # among the subnormals the bisection stops at adjacent floats
+        subnormal_spacing = math.ulp(0.0)
+        assert closed == pytest.approx(
+            bisected, rel=LUXEMBURG_RELATIVE_WIDTH, abs=2 * subnormal_spacing
+        )
+
+    def test_subnormal_levels(self):
+        # the modular of 1e-320 on [0, 1) at scale lam is cosh(1e-320 / lam) - 1
+        f = StepFunction([0, 1], [1e-320])
+        assert luxemburg_norm(cosh_minus_one(), f, LEBESGUE) == pytest.approx(
+            1e-320 / math.acosh(2.0), abs=2 * math.ulp(0.0)
+        )
+
 
 class TestLpNorm:
     def test_matches_quadrature(self):
@@ -149,6 +212,13 @@ class TestLpNorm:
         f = StepFunction([0, 1, 2], [1.0, 7.0])
         assert lp_norm(f, Measure.with_density(dens), math.inf) == 1.0
         assert lp_norm(f, LEBESGUE, math.inf) == 7.0
+
+    def test_powers_of_levels_past_the_float_range(self):
+        # v^p overflows for v = 1e200 and p = 2.5, while the norm does not
+        f = StepFunction([0, 4, 5], [1e200, 1e-200])
+        expected = 1e200 * 4**0.4
+        assert lp_norm(f, LEBESGUE, 2.5) == pytest.approx(expected, rel=1e-14)
+        assert luxemburg_norm(power(2.5), f, LEBESGUE) == pytest.approx(expected, rel=1e-14)
 
 
 class TestNormSpecParsing:
@@ -223,14 +293,6 @@ class TestRoutes:
                 vb = norm_route_b(ctx, NormSpec.orlicz(psi), a)
                 assert va == pytest.approx(vb, rel=1e-8, abs=1e-10)
 
-    def test_measure_slot_is_validated(self):
-        with pytest.raises(ValidationError):
-            norm_route_a(CTX_312, NormSpec.lp(2, measure=LEBESGUE), DIAG_312)
-        with pytest.raises(ValidationError):
-            norm_route_b(
-                CTX_312, NormSpec.lp(2, measure=CTX_312.weight.measure()), DIAG_312
-            )
-
 
 class TestMembership:
     def test_bounded_operator_with_finite_weight_mass(self):
@@ -263,3 +325,47 @@ class TestMembership:
             for psi in ALL_PSIS:
                 spec = NormSpec.orlicz(psi)
                 assert membership_route_a(ctx, spec, a) == membership_route_b(ctx, spec, a)
+
+    def test_capped_member_with_levels_past_the_threshold(self):
+        # 1e10 > 2^30: every capped modular of a scaling by 2^-30 .. 2^30 is
+        # infinite, yet a larger scale makes it finite
+        m2 = Algebra.matrix_blocks([2], [1.0])
+        ctx = WeightedContext(m2, StepWeight(StepFunction([0, 1, 3], [2.0, 1.0])))
+        a = Operator.from_diagonal(m2, [1e10, 1.0])
+        spec = NormSpec.orlicz(capped(1.0))
+        assert membership_route_a(ctx, spec, a)
+        assert membership_route_b(ctx, spec, a)
+        assert math.isfinite(norm_route_a(ctx, spec, a))
+        assert norm_route_a(ctx, spec, a) == pytest.approx(norm_route_b(ctx, spec, a), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "weight", [StepWeight(StepFunction([0, 4, 9], [1.5, 0.5])), ExpWeight()], ids=["step", "exp"]
+    )
+    def test_cosh_member_with_levels_spread_over_2_pow_100(self, weight):
+        interval = Algebra.commutative(10.0)
+        signs = np.where(np.arange(41) % 2, 1.0, -1.0)
+        levels = signs * np.exp2(np.linspace(-100.0, 100.0, 41))
+        a = Operator.multiplier(interval, StepFunction(np.linspace(0.0, 10.0, 42), levels))
+        ctx = WeightedContext(interval, weight)
+        spec = NormSpec.orlicz(cosh_minus_one())
+        assert membership_route_a(ctx, spec, a)
+        assert membership_route_b(ctx, spec, a)
+        na, nb = norm_route_a(ctx, spec, a), norm_route_b(ctx, spec, a)
+        assert math.isfinite(na) and na == pytest.approx(nb, rel=1e-8)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-100, 100),
+        spec=st.sampled_from(
+            [NormSpec.orlicz(psi) for psi in ALL_PSIS]
+            + [NormSpec.orlicz(ZERO_THRESHOLD)]
+            + [NormSpec.lp(p) for p in (1.0, 2.5, math.inf)]
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_member_iff_norm_finite_on_both_routes(self, seed, exponent, spec):
+        rng = rng_from_seed(seed)
+        ctx = random_context(rng)
+        a = math.ldexp(1.0, exponent) * random_operator(rng, ctx.algebra)
+        assert membership_route_a(ctx, spec, a) == math.isfinite(norm_route_a(ctx, spec, a))
+        assert membership_route_b(ctx, spec, a) == math.isfinite(norm_route_b(ctx, spec, a))

@@ -100,6 +100,12 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             StepFunction([0, 1], [-math.inf])
 
+    def test_evaluation_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            THREE_STEP(math.nan)
+        with pytest.raises(ValidationError):
+            THREE_STEP([0.5, math.nan])
+
     def test_plus_inf_is_a_value(self):
         f = StepFunction([0, 1, 2], [math.inf, 1.0])
         assert f(0.5) == math.inf
