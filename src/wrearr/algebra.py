@@ -257,19 +257,18 @@ class Operator:
 
     # -- spectral data ----------------------------------------------------------
 
-    def _block_singular_values(self):
-        """Per-block singular values, each sorted descending."""
+    def _block_svd(self):
+        """Per-block ``(s, v)`` from :func:`one_sided_svd`, ``s`` descending, solved once."""
         if self._sv_cache is None:
             self._sv_cache = tuple(
-                one_sided_svd(b, block_index=k)[0] for k, b in enumerate(self.blocks)
+                one_sided_svd(b, block_index=k) for k, b in enumerate(self.blocks)
             )
         return self._sv_cache
 
     def norm(self):
         """Operator norm."""
         if self.is_matrix:
-            svs = self._block_singular_values()
-            return float(max((s[0] for s in svs if s.size), default=0.0))
+            return float(max(s[0] for s, _ in self._block_svd()))
         return self.step.max_abs()
 
     def trace(self):
@@ -324,31 +323,27 @@ class Projection(Operator):
 
 
 def _positive_eigen(a, label="operator"):
-    """Per-block eigen pairs of a positive operator, negatives clipped.
+    """Per-block eigen pairs of a positive operator, negatives clipped, and the
+    clustering tolerance ``1e-9 * ||a||``.
 
-    Validates symmetry and positivity up to the clustering tolerance.
+    ``||a||`` is read off the eigenvalues of the blocks' symmetric parts, and
+    the same tolerance then validates symmetry and positivity.
     """
-    tol = 1e-9 * (1.0 + a.norm())
-    pairs = []
-    for k, b in enumerate(a.blocks):
-        if b.size and np.max(np.abs(b - b.T)) > tol:
+    pairs = [symmetric_eigen(0.5 * (b + b.T), block_index=k) for k, b in enumerate(a.blocks)]
+    tol = 1e-9 * max(np.max(np.abs(w)) for w, _ in pairs)
+    for k, (b, (w, _)) in enumerate(zip(a.blocks, pairs)):
+        if np.max(np.abs(b - b.T)) > tol:
             raise ValidationError(f"{label} must be symmetric (block {k})")
-        w, v = symmetric_eigen(b, block_index=k)
-        if w.size and w[0] < -tol:
+        if w[0] < -tol:
             raise ValidationError(f"{label} must be positive semidefinite (block {k})")
-        pairs.append((np.clip(w, 0.0, None), v))
-    return pairs
+    return [(np.clip(w, 0.0, None), v) for w, v in pairs], tol
 
 
 def absolute(a):
     """The positive part |a| = (a^T a)^(1/2), computed per block."""
     if not a.is_matrix:
         return Operator(a.algebra, step=a.step.absolute())
-    blocks = []
-    for k, b in enumerate(a.blocks):
-        s, v = one_sided_svd(b, block_index=k)
-        blocks.append(v @ np.diag(s) @ v.T)
-    return Operator(a.algebra, blocks=blocks)
+    return Operator(a.algebra, blocks=[(v * s) @ v.T for s, v in a._block_svd()])
 
 
 def singular_value_function(a):
@@ -362,7 +357,7 @@ def singular_value_function(a):
         return rearrange(a.step.absolute(), LEBESGUE)
     values = []
     widths = []
-    for svs, lam in zip(a._block_singular_values(), a.algebra.trace_weights):
+    for (svs, _), lam in zip(a._block_svd(), a.algebra.trace_weights):
         values.append(svs)
         widths.append(np.full(svs.size, lam))
     values = np.concatenate(values)
@@ -376,7 +371,7 @@ def singular_value_function(a):
 def spectral_projection(a, threshold):
     """Spectral projection of a positive operator onto (threshold, oo).
 
-    Eigenvalues within ``1e-9 * (1 + ||a||)`` of each other are clustered and
+    Eigenvalues within ``1e-9 * ||a||`` of each other are clustered and
     kept or dropped together, so ties at the threshold cannot split a nearly
     degenerate eigenspace.
     """
@@ -387,9 +382,9 @@ def spectral_projection(a, threshold):
             raise ValidationError("spectral projection needs a positive multiplier")
         indicator = a.step.map_values(lambda u: np.where(np.asarray(u) > threshold, 1.0, 0.0))
         return Projection(a.algebra, step=indicator)
-    tol = 1e-9 * (1.0 + a.norm())
+    pairs, tol = _positive_eigen(a, "spectral projection argument")
     blocks = []
-    for w, v in _positive_eigen(a, "spectral projection argument"):
+    for w, v in pairs:
         keep = np.zeros(w.size, dtype=bool)
         i = w.size - 1
         while i >= 0:  # walk clusters from the top eigenvalue down
@@ -423,7 +418,7 @@ def apply_function(psi, a):
             raise InfiniteValueError("function is infinite on the spectrum")
         return Operator(a.algebra, step=StepFunction._raw(a.step.breakpoints, mapped))
     blocks = []
-    for w, v in _positive_eigen(a, "functional calculus argument"):
+    for w, v in _positive_eigen(a, "functional calculus argument")[0]:
         mapped = np.asarray(psi(w), dtype=float)
         if np.any(np.isinf(mapped)):
             raise InfiniteValueError("function is infinite on the spectrum")

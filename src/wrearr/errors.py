@@ -14,11 +14,19 @@ class ParseError(WrearrError):
 
 
 class EigenSolverError(WrearrError):
-    """The Jacobi iteration failed to converge on one block."""
+    """The Jacobi iteration failed to converge on one block.
 
-    def __init__(self, block_index, message):
+    A non-convergence error also carries the number of ``sweeps`` run and the
+    final ``off_diagonal`` measure, the largest ratio the stopping rule bounds.
+    """
+
+    def __init__(self, block_index, message, sweeps=None, off_diagonal=None):
+        if sweeps is not None:
+            message += f" after {sweeps} sweeps (off-diagonal measure {off_diagonal:.3e})"
         super().__init__(f"block {block_index}: {message}")
         self.block_index = block_index
+        self.sweeps = sweeps
+        self.off_diagonal = off_diagonal
 
 
 class InfiniteValueError(WrearrError):

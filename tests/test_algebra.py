@@ -3,24 +3,31 @@ import math
 import numpy as np
 import pytest
 
+import wrearr.algebra as algebra_mod
 from wrearr import (
     LEBESGUE,
     Algebra,
+    ExpWeight,
     InfiniteValueError,
+    NormSpec,
     Operator,
     Projection,
     StepFunction,
     ValidationError,
+    WeightedContext,
     absolute,
     apply_function,
     capped,
     distribution,
     generalized_inverse,
+    norm_route_a,
+    norm_route_b,
     partial_isometry_conjugates,
     power,
     singular_value_function,
     spectral_projection,
     step_equal,
+    weighted_trace,
 )
 from wrearr.generate import (
     random_matrix_algebra,
@@ -207,7 +214,29 @@ class TestSpectralProjection:
             spectral_projection(Operator.from_diagonal(M2, [1.0, -1.0]), 0.5)
 
 
+    @pytest.mark.parametrize("k", [-1000, -530, -43, 0, 255, 498, 530, 1000])
+    def test_scaled_projection_matches_unscaled(self, k):
+        # tolerances are relative to ||a||, so 2^k a splits where a does
+        a = random_operator(rng_from_seed(17), Algebra.matrix_blocks([6, 3], [1.0, 0.5]))
+        s = singular_value_function(a).values
+        theta = math.sqrt(s[3] * s[4])
+        expected = spectral_projection(absolute(a), theta)
+        scaled = Operator(a.algebra, blocks=[np.ldexp(b, k) for b in a.blocks])
+        p = spectral_projection(absolute(scaled), math.ldexp(theta, k))
+        for pb, qb in zip(p.blocks, expected.blocks):
+            np.testing.assert_allclose(pb, qb, rtol=0, atol=1e-12)
+
+
 class TestApplyFunction:
+    def test_requires_symmetric_input(self):
+        a = Operator(M2, blocks=[np.array([[1.0, 1.0], [0.0, 1.0]])])
+        with pytest.raises(ValidationError, match="symmetric"):
+            apply_function(power(2), a)
+
+    def test_requires_positive_input(self):
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            apply_function(power(2), Operator.from_diagonal(M2, [1.0, -1.0]))
+
     def test_square_on_diagonal(self):
         a = Operator.from_diagonal(M2, [2.0, 3.0])
         image = apply_function(power(2), a)
@@ -293,3 +322,45 @@ class TestInvariants:
             assert step_equal(
                 singular_value_function(lam * a), mu.scaled(abs(lam)), 1e-10, 1e-10
             )
+
+
+class TestSolverCounts:
+    """One Jacobi SVD per block per operator, and no SVD to set a tolerance."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"svd": 0, "eigh": 0}
+
+        def counting(key, solver):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return solver(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            algebra_mod, "one_sided_svd", counting("svd", algebra_mod.one_sided_svd)
+        )
+        monkeypatch.setattr(
+            algebra_mod, "symmetric_eigen", counting("eigh", algebra_mod.symmetric_eigen)
+        )
+        return counts
+
+    def test_spectral_request_runs_one_svd_and_one_eigh(self, calls):
+        alg = Algebra.matrix_blocks([12], [0.5])
+        a = Operator(alg, blocks=[rng_from_seed(11).standard_normal((12, 12))])
+        ctx = WeightedContext(alg, ExpWeight())
+        l2 = NormSpec.parse("L2")
+        weighted_trace(ctx, a)
+        norm_route_a(ctx, l2, a)
+        norm_route_b(ctx, l2, a)
+        s = singular_value_function(a).values
+        spectral_projection(absolute(a), math.sqrt(s[3] * s[4]))
+        assert calls == {"svd": 1, "eigh": 1}
+
+    def test_absolute_reuses_cached_svd(self, calls):
+        a = random_operator(rng_from_seed(12), Algebra.matrix_blocks([4, 5], [1.0, 2.0]))
+        singular_value_function(a)
+        assert calls["svd"] == 2
+        absolute(a)
+        assert calls["svd"] == 2

@@ -57,3 +57,38 @@ def test_non_convergence_reports_block_index():
     with pytest.raises(EigenSolverError) as err:
         symmetric_eigen(s, max_sweeps=0, block_index=7)
     assert err.value.block_index == 7
+    assert err.value.sweeps == 0
+    for solver, m in ((symmetric_eigen, s), (one_sided_svd, s + np.eye(4))):
+        with pytest.raises(EigenSolverError) as err:
+            solver(m, max_sweeps=1, block_index=3)
+        assert err.value.block_index == 3 and err.value.sweeps == 1
+        assert 1e-12 < err.value.off_diagonal < 1.0
+        assert "after 1 sweeps" in str(err.value)
+        assert f"{err.value.off_diagonal:.3e}" in str(err.value)
+
+
+SCALE_EXPONENTS = [-1000, -530, -43, 0, 255, 498, 530, 1000]
+
+
+@pytest.mark.parametrize("k", SCALE_EXPONENTS)
+def test_solvers_are_scale_equivariant(k):
+    # prescaling by a power of two is exact and the stopping rule is relative,
+    # so results for 2^k a are exactly those for a times 2^k
+    a = np.random.default_rng(6).uniform(-1, 1, (6, 6))
+    s, v = one_sided_svd(a)
+    s_k, v_k = one_sided_svd(np.ldexp(a, k))
+    np.testing.assert_array_equal(s_k, np.ldexp(s, k))
+    np.testing.assert_array_equal(v_k, v)
+    w, u = symmetric_eigen(a + a.T)
+    w_k, u_k = symmetric_eigen(np.ldexp(a + a.T, k))
+    np.testing.assert_array_equal(w_k, np.ldexp(w, k))
+    np.testing.assert_array_equal(u_k, u)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-11, 1.0])
+def test_symmetric_eigen_relative_accuracy_at_small_norm(scale):
+    g = np.random.default_rng(4).uniform(-1, 1, (6, 6))
+    s = scale * (g + g.T)
+    w, _ = symmetric_eigen(s)
+    w_ref = np.linalg.eigvalsh(s)
+    np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12 * np.abs(w_ref).max())

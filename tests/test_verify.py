@@ -34,6 +34,12 @@ def test_results_are_deterministic_per_seed():
     assert c.worst_residual != a.worst_residual
 
 
+def test_level_sets_replay_passes():
+    # worst residual 1.15e-10 against a 1e-10 tolerance while the symmetric
+    # solver stopped at an absolute off-diagonal threshold
+    assert run_property("functional-calculus-preserves-level-sets", 1884188051, 5).failures == 0
+
+
 def test_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("WREARR_TOLERANCE", "1e-3")
     result = run_property("rearrangement-integral-equals-weighted-trace", 1, 2)
