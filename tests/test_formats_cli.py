@@ -291,3 +291,14 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "0.632120558829"
+
+
+def test_package_runs_as_module():
+    result = subprocess.run(
+        [sys.executable, "-m", "wrearr", "verify", "--seed", "1", "--trials", "1"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "34 properties, 0 failing trial(s)" in result.stdout

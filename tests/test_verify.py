@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from wrearr import Algebra, Operator, StepFunction, StepWeight, ValidationError, WeightedContext
 from wrearr.cli import main
+from wrearr.generate import random_operator
 from wrearr.verify import (
     PROPERTY_NAMES,
     PropertyResult,
@@ -65,14 +68,24 @@ def test_shrinker_reduces_diagonal_instance():
     assert small[0].weight.density.piece_count == 1
 
 
-def test_cli_verify_reports_failure_with_counterexample(monkeypatch, capsys):
-    def broken_runner(rng, trials, tol):
-        return trials, 1.0, {"detail": {"residual": 1.0}}
+def test_reference_checks_hold_on_tiny_operators():
+    # the references cut off relative to ||a|| or test for exact zero; an
+    # absolute 1e-9 rank cut-off expected rank 0 here and gave residual 5
+    rng = np.random.default_rng(0)
+    alg = Algebra.matrix_blocks([4, 2], [1.0, 0.5])
+    ctx = WeightedContext(alg, StepWeight(StepFunction([0.0, 1.0, 3.0], [2.0, 0.5])))
+    a = 2.0**-40 * random_operator(rng, alg)
+    b = 2.0**-40 * random_operator(rng, alg)
+    assert verify_mod._support_projection_trace((ctx, a)) == pytest.approx(0.0, abs=1e-12)
+    assert verify_mod._trace_faithful((ctx, a)) == 0.0
+    assert verify_mod._norm_axioms((ctx, a, b, 1.5)) == pytest.approx(0.0, abs=1e-12)
 
-    name, tolerance, _ = verify_mod._REGISTRY[0]
-    monkeypatch.setattr(
-        verify_mod, "_REGISTRY", [(name, tolerance, broken_runner)] + verify_mod._REGISTRY[1:]
-    )
+
+def test_cli_verify_reports_failure_with_counterexample(monkeypatch, capsys):
+    first = verify_mod._REGISTRY[0]
+    broken = dataclasses.replace(first, residual=lambda inst: 1.0)
+    monkeypatch.setattr(verify_mod, "_REGISTRY", [broken] + verify_mod._REGISTRY[1:])
+    name = first.name
     code = main(["verify", "--seed", "1", "--trials", "2"])
     captured = capsys.readouterr()
     assert code == 1
@@ -99,3 +112,49 @@ def test_run_suite_subset():
     results = run_suite(3, 2, names=["weighted-trace-homogeneous"])
     assert len(results) == 1
     assert results[0].passed
+
+
+# ``format_report(run_suite(42, 3))``: pins every property's rng draws and
+# residual formatting.
+GOLDEN_SUITE_42_3 = (
+    "pass  step-distribution-shape                          trials=3  failures=0  worst=0.000e+00  tol=0.0e+00\n"
+    "pass  step-rearrangement-equimeasurable                trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
+    "pass  step-distribution-at-rearrangement-bounded       trials=3  failures=0  worst=0.000e+00  tol=1.0e-12\n"
+    "pass  step-rearrangement-preserves-integral            trials=3  failures=0  worst=1.386e-16  tol=1.0e-10\n"
+    "pass  singular-values-of-abs-and-adjoint-agree         trials=3  failures=0  worst=3.997e-15  tol=1.0e-10\n"
+    "pass  singular-values-homogeneous                      trials=3  failures=0  worst=1.110e-16  tol=1.0e-10\n"
+    "pass  singular-value-distribution-counts-spectrum      trials=3  failures=0  worst=3.553e-15  tol=1.0e-10\n"
+    "pass  support-projection-trace                         trials=3  failures=0  worst=3.553e-15  tol=1.0e-10\n"
+    "pass  functional-calculus-preserves-level-sets         trials=3  failures=0  worst=3.170e-14  tol=1.0e-10\n"
+    "pass  oracle-matches-weighted-rearrangement            trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
+    "pass  rearrangement-integral-equals-weighted-trace     trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
+    "pass  weighted-trace-subadditive                       trials=3  failures=0  worst=0.000e+00  tol=1.0e-09\n"
+    "pass  weighted-trace-homogeneous                       trials=3  failures=0  worst=2.463e-17  tol=1.0e-09\n"
+    "pass  weighted-trace-adjoint-product-symmetric         trials=3  failures=0  worst=6.710e-16  tol=1.0e-09\n"
+    "pass  weighted-trace-faithful                          trials=3  failures=0  worst=0.000e+00  tol=0.0e+00\n"
+    "pass  weighted-trace-normal-on-monotone-sequences      trials=3  failures=0  worst=1.980e-16  tol=1.0e-09\n"
+    "pass  equivalent-projections-share-weighted-trace      trials=3  failures=0  worst=2.220e-16  tol=1.0e-09\n"
+    "pass  orthogonal-projections-trace-inequality          trials=3  failures=0  worst=0.000e+00  tol=1.0e-12\n"
+    "pass  weighted-rearrangement-of-abs-and-adjoint-agree  trials=3  failures=0  worst=6.661e-16  tol=1.0e-10\n"
+    "pass  weighted-rearrangement-homogeneous               trials=3  failures=0  worst=1.110e-16  tol=1.0e-10\n"
+    "pass  weighted-rearrangement-sum-shift-inequality      trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
+    "pass  weighted-rearrangement-product-shift-inequality  trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
+    "pass  weighted-rearrangement-shape                     trials=3  failures=0  worst=0.000e+00  tol=0.0e+00\n"
+    "pass  weighted-rearrangement-small-t-limit             trials=3  failures=0  worst=0.000e+00  tol=1.0e-09\n"
+    "pass  weighted-distribution-at-rearrangement-bounded   trials=3  failures=0  worst=0.000e+00  tol=1.0e-12\n"
+    "pass  truncation-distance-dominates-rearrangement      trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
+    "pass  orlicz-norm-routes-agree                         trials=3  failures=0  worst=0.000e+00  tol=1.0e-08\n"
+    "pass  lp-norm-routes-agree                             trials=3  failures=0  worst=0.000e+00  tol=1.0e-08\n"
+    "pass  membership-routes-agree                          trials=3  failures=0  worst=0.000e+00  tol=0.0e+00\n"
+    "pass  functional-calculus-commutes-with-rearrangement  trials=3  failures=0  worst=3.220e-15  tol=1.0e-10\n"
+    "pass  rearrangement-norm-axioms                        trials=3  failures=0  worst=3.893e-16  tol=1.0e-09\n"
+    "pass  lp-norm-matches-quadrature                       trials=3  failures=0  worst=9.080e-17  tol=1.0e-10\n"
+    "pass  conjugation-invariance                           trials=3  failures=0  worst=1.110e-15  tol=1.0e-09\n"
+    "pass  exponential-weight-reference-values              trials=3  failures=0  worst=0.000e+00  tol=1.0e-12\n"
+    "34 properties, 0 failing trial(s)"
+)
+
+
+def test_suite_report_is_golden(monkeypatch):
+    monkeypatch.delenv("WREARR_TOLERANCE", raising=False)
+    assert format_report(run_suite(42, 3)) == GOLDEN_SUITE_42_3
