@@ -127,13 +127,21 @@ def _frozen(array):
 
 
 class Operator:
-    """Element of an :class:`Algebra`: matrix blocks or a step multiplier."""
+    """Element of an :class:`Algebra`: matrix blocks or a step multiplier.
 
-    __slots__ = ("algebra", "blocks", "step", "_sv_cache")
+    Operators are immutable, so spectral data derived from one is kept on it
+    once built: the block SVDs, the singular value function, and the weighted
+    rearrangement under the last weight asked for (see
+    :func:`wrearr.weighted.weighted_rearrangement`).
+    """
+
+    __slots__ = ("algebra", "blocks", "step", "_sv_cache", "_svf", "_rearranged")
 
     def __init__(self, algebra, blocks=None, step=None):
         self.algebra = algebra
         self._sv_cache = None
+        self._svf = None
+        self._rearranged = None  # (weight, weighted rearrangement under it)
         if algebra.is_matrix:
             if step is not None or blocks is None:
                 raise ValidationError("matrix algebra operators need matrix blocks")
@@ -352,7 +360,16 @@ def singular_value_function(a):
     Each singular value occupies an interval whose length is the trace weight
     of its block; the intervals are laid out in decreasing value order.  For
     multipliers this is the decreasing rearrangement of |payload|.
+
+    Built once per operator: the result is kept on ``a`` and returned by
+    every later call.
     """
+    if a._svf is None:
+        a._svf = _singular_value_function(a)
+    return a._svf
+
+
+def _singular_value_function(a):
     if not a.is_matrix:
         return rearrange(a.step.absolute(), LEBESGUE)
     values = []

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 LUXEMBURG_RELATIVE_WIDTH = 1e-10
-_BRACKET_CAP = 2.0**60
 
 
 class OrliczFunction:
@@ -55,6 +54,8 @@ class OrliczFunction:
         self._fn = fn
         self.finite_threshold = float(finite_threshold)
         self.atom_norm = atom_norm
+        if not self.finite_threshold >= 0:
+            raise ValidationError("an Orlicz function's finite threshold must be >= 0")
         if self(0.0) != 0.0:
             raise ValidationError("an Orlicz function must vanish at 0")
         if not math.isinf(self(math.inf)):
@@ -231,51 +232,51 @@ def luxemburg_norm(psi, f, m):
     The atoms of ``f`` under ``m`` are taken once; the modular at each scale
     is a dot product over them.  ``psi.atom_norm`` gives the norm in closed
     form when set.  Otherwise a monotone bisection finds it: the bracket grows
-    or shrinks geometrically from the largest value of ``|f|``, then bisects
-    to a relative width of {width:g}, or to adjacent floats when the scale is
-    subnormal.  Returns 0 for functions vanishing ``m``-almost everywhere and
-    ``inf`` when ``f`` is infinite on a set of positive mass or no finite
-    scale brings the modular down to 1.
+    or shrinks geometrically from the largest live level of ``|f|`` until the
+    modular crosses 1, then bisects to a relative width of {width:g}, or to
+    adjacent floats when the scale is subnormal.  Returns 0 for functions
+    vanishing ``m``-almost everywhere and ``inf`` when ``f`` is infinite on a
+    set of positive mass, when ``psi`` is infinite beyond 0, or when the
+    least scale overflows.
     """
     levels, masses = _atoms(f, m)
     sup_ess = float(levels.max(initial=0.0))
     if sup_ess == 0.0:
         return 0.0
-    if math.isinf(sup_ess):
+    if math.isinf(sup_ess) or psi.finite_threshold == 0.0:
+        # no scale makes the modular finite; the search below would stop only
+        # where the levels divided by the scale underflow to 0
         return math.inf
     if psi.atom_norm is not None:
         return psi.atom_norm(levels, masses)
-    lam0 = f.max_abs()
-    if math.isinf(lam0):
-        lam0 = sup_ess
+    # the levels are absolute values, so inside psi's domain [0, inf]: its raw
+    # function is evaluated directly, without the check each psi call makes
+    fn = psi._fn
 
     def modular_at(lam):
-        return _atom_modular(psi, levels, masses, lam)
+        return _atom_modular(fn, levels, masses, lam)
 
-    if modular_at(lam0) <= 1.0:
-        hi = lam0
-        lo = lam0 / 2.0
-        while lo > 0.0 and modular_at(lo) <= 1.0:  # lo is 0 once hi is the least positive float
-            hi = lo
-            lo /= 2.0
-            if hi <= lam0 / _BRACKET_CAP:
-                return 0.0
-    else:
-        lo = lam0
-        hi = lam0 * 2.0
-        while modular_at(hi) > 1.0:
-            lo = hi
-            hi *= 2.0
-            if hi >= lam0 * _BRACKET_CAP:
-                return math.inf
-    while hi - lo > LUXEMBURG_RELATIVE_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats, as among the subnormals
-            break
-        if modular_at(mid) <= 1.0:
-            hi = mid
+    with np.errstate(over="ignore", invalid="ignore"):
+        if modular_at(sup_ess) <= 1.0:
+            hi = sup_ess
+            lo = sup_ess / 2.0
+            while lo > 0.0 and modular_at(lo) <= 1.0:  # lo is 0 once hi is the least positive float
+                hi = lo
+                lo /= 2.0
         else:
-            lo = mid
+            lo = sup_ess
+            hi = sup_ess * 2.0
+            while modular_at(hi) > 1.0:  # hi overflows to inf, where the modular is 0
+                lo = hi
+                hi *= 2.0
+        while hi - lo > LUXEMBURG_RELATIVE_WIDTH * hi:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # adjacent floats, as among the subnormals
+                break
+            if modular_at(mid) <= 1.0:
+                hi = mid
+            else:
+                lo = mid
     return float(hi)
 
 

@@ -337,8 +337,6 @@ def _counterexample(row, inst, r):
 
 
 def _loop(row, rng, trials, tol):
-    if row.max_trials is not None:
-        trials = min(trials, row.max_trials)
     failures = 0
     worst = 0.0
     counterexample = None
@@ -793,6 +791,8 @@ def run_property(name, seed, trials, cross_tol=None):
             if tol is None:
                 tol = cross_route_tolerance()
             rng = np.random.default_rng([int(seed), index])
+            if row.max_trials is not None:
+                trials = min(trials, row.max_trials)
             failures, worst, counterexample = _loop(row, rng, trials, tol)
             return PropertyResult(name, trials, failures, worst, tol, counterexample)
     raise ValidationError(f"unknown property {name!r}")

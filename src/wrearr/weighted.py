@@ -206,12 +206,18 @@ def weighted_rearrangement(ctx, a, cross_check=False):
     """Weighted decreasing rearrangement of ``a``.
 
     Computed as the decreasing rearrangement of the singular value function
-    with respect to the weight's measure.  With ``cross_check`` the result is
-    also derived as the generalized inverse of the weighted distribution and
+    with respect to the weight's measure.  The result is kept on ``a``, keyed
+    on the identity of ``ctx.weight``: a later call with the same weight
+    object returns it, and a call with another weight rebuilds it and keeps
+    that one instead.  With ``cross_check`` the result is also derived, on
+    every call, as the generalized inverse of the weighted distribution and
     the two routes are required to agree.
     """
     _check_member(ctx, a)
-    result = rearrange(singular_value_function(a), ctx.weight.measure())
+    weight = ctx.weight
+    if a._rearranged is None or a._rearranged[0] is not weight:
+        a._rearranged = (weight, rearrange(singular_value_function(a), weight.measure()))
+    result = a._rearranged[1]
     if cross_check:
         other = generalized_inverse(weighted_distribution(ctx, a))
         if not step_equal(result, other, cross_route_tolerance(), 1e-12):

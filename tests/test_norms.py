@@ -63,6 +63,23 @@ def step_functions_with_null_infinities(draw):
     return StepFunction(bp, levels)
 
 
+def _spread_instance(rng):
+    """A multiplier and a step weight whose piece lengths spread over
+    10^-40 .. 10^40, so that masses reach far past any fixed scale bracket."""
+
+    def breakpoints(pieces):
+        lengths = 10.0 ** rng.integers(-40, 41, size=pieces)
+        return np.unique(np.concatenate([[0.0], np.cumsum(lengths)]))
+
+    bp = breakpoints(int(rng.integers(1, 6)))
+    interval = Algebra.commutative(bp[-1])
+    step = StepFunction(bp, rng.uniform(-2.0, 2.0, size=bp.size - 1))
+    wbp = breakpoints(int(rng.integers(1, 4)))
+    density = np.sort(rng.uniform(0.1, 2.0, size=wbp.size - 1))[::-1]
+    ctx = WeightedContext(interval, StepWeight(StepFunction(wbp, density)))
+    return ctx, Operator.multiplier(interval, step)
+
+
 def _bisected(psi):
     """The same function without its closed-form norm."""
     return OrliczFunction(psi.name, psi._fn, psi.finite_threshold)
@@ -99,6 +116,12 @@ class TestOrliczFunctions:
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValidationError):
             power(2)(-1.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, -math.inf])
+    def test_rejects_nan_or_negative_finite_threshold(self, threshold):
+        # a NaN threshold would make every membership answer False
+        with pytest.raises(ValidationError):
+            OrliczFunction("bad", lambda u: u * u, threshold)
 
 
 class TestModular:
@@ -181,6 +204,31 @@ class TestLuxemburgNorm:
         assert closed == pytest.approx(
             bisected, rel=LUXEMBURG_RELATIVE_WIDTH, abs=2 * subnormal_spacing
         )
+
+    @pytest.mark.parametrize("psi", [cosh_minus_one(), l_log_l()], ids=lambda p: p.name)
+    def test_huge_value_on_a_null_piece_is_ignored(self, psi):
+        # mass 1 at level 1 on [0, 1) and on [2, 3); 1e19 sits where the density vanishes
+        m = Measure.with_density(StepFunction([0, 1, 2, 3], [1.0, 0.0, 1.0]))
+        f = StepFunction([0, 1, 2, 3], [1.0, 1e19, 1.0])
+        lam = luxemburg_norm(psi, f, m)
+        assert 2.0 * psi(1.0 / lam) == pytest.approx(1.0, rel=1e-9)
+        if psi.name == "cosh-1":
+            assert lam == pytest.approx(1.0 / math.acosh(1.5), rel=1e-9)
+
+    @pytest.mark.parametrize("length", [1e-20, 1e40])
+    @pytest.mark.parametrize("psi", [cosh_minus_one(), l_log_l()], ids=lambda p: p.name)
+    def test_indicators_of_extreme_length(self, psi, length):
+        # least scales far from the level 1: about 4e-19 for llogl on [0, 1e-20),
+        # 7e19 (cosh-1) and 1e20 (llogl) on [0, 1e40)
+        f = StepFunction([0, length], [1.0])
+        lam = luxemburg_norm(psi, f, LEBESGUE)
+        assert math.isfinite(lam) and lam > 0.0
+        assert length * psi(1.0 / lam) == pytest.approx(1.0, rel=1e-8)
+
+    def test_zero_threshold_norm_is_infinite_at_tiny_levels(self):
+        # 1e-300 / lam underflows to 0 for lam above about 1e24, where the modular reads 0
+        f = StepFunction([0, 1], [1e-300])
+        assert luxemburg_norm(ZERO_THRESHOLD, f, LEBESGUE) == math.inf
 
     def test_subnormal_levels(self):
         # the modular of 1e-320 on [0, 1) at scale lam is cosh(1e-320 / lam) - 1
@@ -361,11 +409,16 @@ class TestMembership:
             + [NormSpec.orlicz(ZERO_THRESHOLD)]
             + [NormSpec.lp(p) for p in (1.0, 2.5, math.inf)]
         ),
+        spread_lengths=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_member_iff_norm_finite_on_both_routes(self, seed, exponent, spec):
+    def test_member_iff_norm_finite_on_both_routes(self, seed, exponent, spec, spread_lengths):
         rng = rng_from_seed(seed)
-        ctx = random_context(rng)
-        a = math.ldexp(1.0, exponent) * random_operator(rng, ctx.algebra)
+        if spread_lengths:
+            ctx, a = _spread_instance(rng)
+        else:
+            ctx = random_context(rng)
+            a = random_operator(rng, ctx.algebra)
+        a = math.ldexp(1.0, exponent) * a
         assert membership_route_a(ctx, spec, a) == math.isfinite(norm_route_a(ctx, spec, a))
         assert membership_route_b(ctx, spec, a) == math.isfinite(norm_route_b(ctx, spec, a))

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import wrearr.algebra as algebra_mod
+import wrearr.weighted as weighted_mod
 from wrearr import (
     Algebra,
     CrossRouteError,
     ExpWeight,
+    NormSpec,
     Operator,
     Projection,
     StepFunction,
@@ -16,6 +19,10 @@ from wrearr import (
     absolute,
     integrate,
     LEBESGUE,
+    membership_route_a,
+    membership_route_b,
+    norm_route_a,
+    norm_route_b,
     singular_value_function,
     spectral_projection,
     step_equal,
@@ -192,6 +199,73 @@ class TestWeightedRearrangement:
             lhs = integrate(weighted_rearrangement(ctx, a), LEBESGUE)
             rhs = weighted_trace(ctx, a)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+ORLICZ_REQUEST_NORMS = ["orlicz:cosh-1", "orlicz:llogl", "orlicz:pow:3", "orlicz:capped:1.0", "L2.5"]
+
+
+def _all_routes(ctx, spec, a):
+    return (
+        norm_route_a(ctx, spec, a),
+        norm_route_b(ctx, spec, a),
+        membership_route_a(ctx, spec, a),
+        membership_route_b(ctx, spec, a),
+    )
+
+
+class TestSpectralMemo:
+    """The singular value function and the weighted rearrangement are built
+    once per operator (and weight), and the memo changes no value."""
+
+    def test_norm_and_membership_routes_rearrange_twice(self, monkeypatch):
+        original = weighted_mod.rearrange
+        calls = []
+
+        def counting(f, m):
+            calls.append(m)
+            return original(f, m)
+
+        monkeypatch.setattr(algebra_mod, "rearrange", counting)
+        monkeypatch.setattr(weighted_mod, "rearrange", counting)
+        rng = rng_from_seed(31)
+        interval = Algebra.commutative(10.0)
+        bp = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, 199)), [10.0]])
+        a = Operator.multiplier(interval, StepFunction(bp, rng.uniform(-2.0, 2.0, 200)))
+        ctx = WeightedContext(interval, random_step_weight(rng))
+        for text in ORLICZ_REQUEST_NORMS:
+            _all_routes(ctx, NormSpec.parse(text), a)
+        # one singular value function (Lebesgue) and one weighted rearrangement
+        assert len(calls) == 2
+        assert calls[0] is LEBESGUE and calls[1] is ctx.weight.measure()
+
+    @pytest.mark.parametrize("kind", ["matrix", "steps"])
+    def test_interleaved_weights_match_fresh_operators(self, kind):
+        rng = rng_from_seed(32)
+        alg = Algebra.matrix_blocks([3, 4], [0.5, 1.5]) if kind == "matrix" else Algebra.commutative(4.0)
+        a = random_operator(rng, alg)
+        contexts = [WeightedContext(alg, random_step_weight(rng)), WeightedContext(alg, ExpWeight())]
+
+        def fresh():
+            if kind == "matrix":
+                return Operator(alg, blocks=a.blocks)
+            return Operator.multiplier(alg, a.step)
+
+        for text in ORLICZ_REQUEST_NORMS:
+            spec = NormSpec.parse(text)
+            for ctx in contexts + contexts[::-1]:
+                assert _all_routes(ctx, spec, a) == _all_routes(ctx, spec, fresh())
+                assert weighted_rearrangement(ctx, a) == weighted_rearrangement(ctx, fresh())
+        assert singular_value_function(a) == singular_value_function(fresh())
+
+    def test_cross_check_runs_on_a_memoized_operator(self, monkeypatch):
+        a = Operator.from_diagonal(M3, [3.0, 1.0, 2.0])
+        weighted_rearrangement(CTX_312, a)
+        weighted_rearrangement(CTX_312, a, cross_check=True)
+        monkeypatch.setattr(
+            weighted_mod, "generalized_inverse", lambda d: StepFunction([0.0, 1.0], [99.0])
+        )
+        with pytest.raises(CrossRouteError):
+            weighted_rearrangement(CTX_312, a, cross_check=True)
 
 
 class TestOracle:
