@@ -1,9 +1,12 @@
-"""Orlicz functions, Luxemburg norms, Lp norms, and the two weighted routes.
+"""Orlicz functions, Luxemburg norms, and the two weighted routes.
 
-A weighted norm of an operator can be computed two ways: apply the norm to
-the singular value function under the weight's measure, or apply it to the
-weighted rearrangement under Lebesgue measure.  The two routes agree, and
-their agreement is one of the package's central machine-checked facts.
+Every norm is the Luxemburg norm of an Orlicz function: Lp is the Orlicz norm
+of ``u^p``, and L-infinity that of the step function that is 0 on [0, 1] and
+infinite beyond, so Lp norms share the Orlicz closed forms and membership
+rule.  A weighted norm of an operator can be computed two ways: apply the
+norm to the singular value function under the weight's measure, or apply it
+to the weighted rearrangement under Lebesgue measure.  The two routes agree,
+and their agreement is one of the package's central machine-checked facts.
 """
 
 from __future__ import annotations
@@ -141,33 +144,40 @@ def _parse_float(args, label):
 
 
 class NormSpec:
-    """Which norm to compute: Lp for p in [1, inf], or an Orlicz norm."""
+    """Which norm to compute: the Luxemburg norm of the Orlicz function ``psi``.
+
+    ``lp(p)`` takes ``u^p``, or for p = inf the 0/inf step function at 1, so
+    Lp shares the Orlicz closed forms and membership rule; it keeps ``p`` and
+    the label ``L<p>``.  ``kind`` is "lp" or "orlicz".
+    """
 
     __slots__ = ("kind", "p", "psi")
 
-    def __init__(self, kind, p=None, psi=None):
-        if kind == "lp":
-            p = float(p)
-            if not p >= 1:
-                raise ValidationError("Lp norms need p >= 1")
-            self.p = p
-            self.psi = None
-        elif kind == "orlicz":
-            if not isinstance(psi, OrliczFunction):
-                raise ValidationError("Orlicz norm spec needs an OrliczFunction")
-            self.p = None
-            self.psi = psi
-        else:
-            raise ValidationError(f"unknown norm kind {kind!r}")
-        self.kind = kind
+    def __init__(self, psi, p=None):
+        if not isinstance(psi, OrliczFunction):
+            raise ValidationError("a norm spec needs an OrliczFunction")
+        self.psi = psi
+        self.p = p
+        self.kind = "orlicz" if p is None else "lp"
 
     @classmethod
     def lp(cls, p):
-        return cls("lp", p=p)
+        p = float(p)
+        if not p >= 1:
+            raise ValidationError("Lp norms need p >= 1")
+        if math.isfinite(p):
+            return cls(power(p), p)
+        sup = OrliczFunction(
+            "Linf",
+            lambda u: np.where(u <= 1.0, 0.0, math.inf),
+            finite_threshold=1.0,
+            atom_norm=lambda levels, masses: float(levels.max()),
+        )
+        return cls(sup, p)
 
     @classmethod
     def orlicz(cls, psi):
-        return cls("orlicz", psi=psi)
+        return cls(psi)
 
     @classmethod
     def parse(cls, text):
@@ -175,8 +185,7 @@ class NormSpec:
         orlicz:pow:3, orlicz:capped:1.0."""
         t = text.strip()
         if t.startswith("orlicz:"):
-            rest = t[len("orlicz:") :]
-            name, _, args = rest.partition(":")
+            name, _, args = t[len("orlicz:") :].partition(":")
             factory = _BUILTIN_FACTORIES.get(name)
             if factory is None:
                 raise ParseError(f"unknown Orlicz function {name!r}")
@@ -185,22 +194,14 @@ class NormSpec:
             except ValidationError as exc:
                 raise ParseError(str(exc)) from exc
         if t.startswith("L"):
-            body = t[1:]
-            if body == "inf":
-                return cls.lp(math.inf)
             try:
-                p = float(body)
-            except ValueError as exc:
-                raise ParseError(f"bad norm spec {text!r}") from exc
-            if not p >= 1:
-                raise ParseError(f"Lp norms need p >= 1, got {text!r}")
-            return cls.lp(p)
+                return cls.lp(float(t[1:]))
+            except (ValueError, ValidationError) as exc:
+                raise ParseError(f"bad norm spec {text!r}: {exc}") from exc
         raise ParseError(f"bad norm spec {text!r}")
 
     def label(self):
-        if self.kind == "lp":
-            return "Linf" if math.isinf(self.p) else f"L{self.p:g}"
-        return f"orlicz:{self.psi.name}"
+        return f"orlicz:{self.psi.name}" if self.p is None else f"L{self.p:g}"
 
     def __repr__(self):
         return f"NormSpec({self.label()!r})"
@@ -285,59 +286,38 @@ luxemburg_norm.__doc__ = luxemburg_norm.__doc__.format(width=LUXEMBURG_RELATIVE_
 
 def lp_norm(f, m, p):
     """(integral of |f|^p d m)^(1/p); essential supremum for p = inf."""
-    if not p >= 1:
-        raise ValidationError("Lp norms need p >= 1")
-    levels, masses = _atoms(f, m)
-    sup_ess = float(levels.max(initial=0.0))
-    if math.isinf(p) or sup_ess == 0.0 or math.isinf(sup_ess):
-        return sup_ess
-    return _power_norm(levels, masses, p)
-
-
-def _apply_spec(spec, f, m):
-    if spec.kind == "lp":
-        return lp_norm(f, m, spec.p)
-    return luxemburg_norm(spec.psi, f, m)
+    return luxemburg_norm(NormSpec.lp(p).psi, f, m)
 
 
 def norm_route_a(ctx, spec, a):
     """Norm of the singular value function under the weighted measure."""
-    return _apply_spec(spec, singular_value_function(a), ctx.weight.measure())
+    return luxemburg_norm(spec.psi, singular_value_function(a), ctx.weight.measure())
 
 
 def norm_route_b(ctx, spec, a):
     """Norm of the weighted rearrangement under Lebesgue measure."""
-    return _apply_spec(spec, weighted_rearrangement(ctx, a), LEBESGUE)
+    return luxemburg_norm(spec.psi, weighted_rearrangement(ctx, a), LEBESGUE)
 
 
 def _has_finite_modular(psi, f, m):
     """Whether some positive scaling of ``f`` has a finite ``psi``-modular.
 
-    ``f`` has finitely many pieces, each of finite mass.  When its essential
-    supremum is finite, a large enough scale brings every live level into
-    the region where ``psi`` is finite, which makes the modular finite; when
-    ``f`` is infinite on a set of positive mass, no scale does.  So ``f`` is
-    a member exactly when its essential supremum is finite and either ``psi``
-    is finite somewhere beyond 0 or ``f`` vanishes almost everywhere.
+    ``f`` has finitely many pieces of finite mass, so this holds exactly when
+    its essential supremum is finite (a large scale then brings every live
+    level below ``psi.finite_threshold``) and that threshold is positive or
+    ``f`` vanishes almost everywhere.
     """
     sup_ess = ess_sup(f, m)
     return math.isfinite(sup_ess) and (psi.finite_threshold > 0 or sup_ess == 0.0)
 
 
-def _membership(spec, f, m):
-    if spec.kind == "lp":
-        # |u|^p is finite everywhere, so only an infinite level excludes f
-        return math.isfinite(ess_sup(f, m))
-    return _has_finite_modular(spec.psi, f, m)
-
-
 def membership_route_a(ctx, spec, a):
     """Whether some positive scaling of the singular value function has a
     finite modular under the weighted measure."""
-    return _membership(spec, singular_value_function(a), ctx.weight.measure())
+    return _has_finite_modular(spec.psi, singular_value_function(a), ctx.weight.measure())
 
 
 def membership_route_b(ctx, spec, a):
     """Whether some positive scaling of the weighted rearrangement has a
     finite modular under Lebesgue measure."""
-    return _membership(spec, weighted_rearrangement(ctx, a), LEBESGUE)
+    return _has_finite_modular(spec.psi, weighted_rearrangement(ctx, a), LEBESGUE)

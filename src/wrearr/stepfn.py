@@ -148,10 +148,6 @@ class StepFunction:
             out[inside] = self.values[idx[inside]]
         return float(out) if tt.ndim == 0 else out
 
-    def max_value(self):
-        """Pointwise supremum (0 for the zero function)."""
-        return float(np.max(self.values)) if self.values.size else 0.0
-
     def max_abs(self):
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
@@ -227,9 +223,10 @@ EXPONENTIAL_DENSITY = ExponentialDensity()
 class Measure:
     """Lebesgue measure on [0, oo), or the measure with a given density.
 
-    The density is either a non-negative finite :class:`StepFunction` or the
-    closed-form :class:`ExponentialDensity`; both give every bounded interval
-    finite mass, which the rearrangement machinery relies on.
+    The density is either a non-negative finite :class:`StepFunction` whose
+    total mass is finite, or the closed-form :class:`ExponentialDensity`; both
+    give every interval finite mass, which the rearrangement machinery relies
+    on.
     """
 
     __slots__ = ("density", "_knots", "_cum")
@@ -247,9 +244,12 @@ class Measure:
         if not np.all(np.isfinite(density.values)):
             raise ValidationError("density must be finite")
         self._knots = density.breakpoints
-        self._cum = np.concatenate(
-            [[0.0], np.cumsum(density.values * np.diff(density.breakpoints))]
-        )
+        with np.errstate(over="ignore"):
+            self._cum = np.concatenate(
+                [[0.0], np.cumsum(density.values * np.diff(density.breakpoints))]
+            )
+        if not math.isfinite(self._cum[-1]):
+            raise ValidationError("density must have a finite cumulative mass")
         self._cum.setflags(write=False)
 
     @classmethod

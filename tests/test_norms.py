@@ -38,7 +38,9 @@ from wrearr.norms import LUXEMBURG_RELATIVE_WIDTH, _atom_modular, _atoms
 M3 = Algebra.matrix_blocks([3], [1.0])
 DIAG_312 = Operator.from_diagonal(M3, [3.0, 1.0, 2.0])
 CTX_312 = WeightedContext(M3, StepWeight(StepFunction([0, 1, 3], [2.0, 1.0])))
-ALL_PSIS = [power(1), power(2), power(3), cosh_minus_one(), l_log_l(), capped(1.0)]
+# 0 on [0, 1] and infinite beyond: its Luxemburg norm is the essential supremum
+LINF = NormSpec.lp(math.inf).psi
+ALL_PSIS = [power(1), power(2), power(3), cosh_minus_one(), l_log_l(), capped(1.0), LINF]
 # null on [1, 2) and beyond 3, so pieces there carry no mass
 GAPPED = Measure.with_density(StepFunction([0, 1, 2, 3], [2.0, 0.0, 1.0]))
 EXP = Measure.with_density(EXPONENTIAL_DENSITY)
@@ -191,7 +193,8 @@ class TestLuxemburgNorm:
 
     @pytest.mark.parametrize("m", [GAPPED, EXP], ids=["step", "exp"])
     @pytest.mark.parametrize(
-        "psi", [power(1), power(2), power(2.5), power(3), capped(0.5), capped(1.0), capped(4.0)],
+        "psi",
+        [power(1), power(2), power(2.5), power(3), capped(0.5), capped(1.0), capped(4.0), LINF],
         ids=lambda p: p.name,
     )
     @given(f=step_functions_with_null_infinities())
@@ -260,6 +263,21 @@ class TestLpNorm:
         f = StepFunction([0, 1, 2], [1.0, 7.0])
         assert lp_norm(f, Measure.with_density(dens), math.inf) == 1.0
         assert lp_norm(f, LEBESGUE, math.inf) == 7.0
+
+    @pytest.mark.parametrize("m", [GAPPED, EXP], ids=["step", "exp"])
+    @pytest.mark.parametrize("p", [1.0, 2.5, 3.0, math.inf])
+    @given(f=step_functions_with_null_infinities())
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_luxemburg_norm_of_the_spec_function(self, p, m, f):
+        assert lp_norm(f, m, p) == luxemburg_norm(NormSpec.lp(p).psi, f, m)
+
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_rejects_p_below_one(self, p):
+        f = StepFunction([0, 1], [1.0])
+        with pytest.raises(ValidationError):
+            NormSpec.lp(p)
+        with pytest.raises(ValidationError):
+            lp_norm(f, LEBESGUE, p)
 
     def test_powers_of_levels_past_the_float_range(self):
         # v^p overflows for v = 1e200 and p = 2.5, while the norm does not

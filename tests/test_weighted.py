@@ -5,10 +5,12 @@ import pytest
 
 import wrearr.algebra as algebra_mod
 import wrearr.weighted as weighted_mod
+from wrearr import formats
 from wrearr import (
     Algebra,
     CrossRouteError,
     ExpWeight,
+    Measure,
     NormSpec,
     Operator,
     Projection,
@@ -61,6 +63,32 @@ class TestWeightValidation:
     def test_rejects_infinite_density(self):
         with pytest.raises(ValidationError):
             StepWeight(StepFunction([0, 1], [math.inf]))
+
+    @pytest.mark.parametrize(
+        "breakpoints,values",
+        [
+            ([0.0, 1e300], [1e300]),  # one piece of mass 1e600
+            ([0.0, 1e308, 1.7e308], [1.7, 1.0]),  # finite pieces, infinite sum
+        ],
+        ids=["piece", "sum"],
+    )
+    def test_rejects_density_of_infinite_mass(self, breakpoints, values):
+        # an infinite cumulative mass would make cumulative(1.0) inf and
+        # cumulative_inverse(1e308) 0.0
+        density = StepFunction(breakpoints, values)
+        with pytest.raises(ValidationError):
+            StepWeight(density)
+        with pytest.raises(ValidationError):
+            Measure.with_density(density)
+        obj = {"kind": "step", "mu": {"breakpoints": breakpoints, "values": values}}
+        with pytest.raises(ValidationError):
+            formats.parse_weight(obj)
+
+    def test_accepts_density_of_mass_near_the_float_limit(self):
+        weight = StepWeight(StepFunction([0.0, 1e154], [1e154]))
+        assert weight.total() == 1e308
+        assert weight.cumulative(1.0) == 1e154
+        assert weight.cumulative_inverse(1e308) == 1e154
 
     def test_support_bound(self):
         assert WEIGHT_21.support_bound == 3.0
