@@ -33,5 +33,9 @@ class InfiniteValueError(WrearrError):
     """Functional calculus produced an infinite value on the spectrum."""
 
 
+class NormOverflowError(WrearrError):
+    """A finite norm exceeds the largest float (CLI exit code 3)."""
+
+
 class CrossRouteError(WrearrError):
     """Two supposedly equivalent computation routes disagreed."""

@@ -12,11 +12,12 @@ and their agreement is one of the package's central machine-checked facts.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .algebra import singular_value_function
-from .errors import ParseError, ValidationError
+from .errors import NormOverflowError, ParseError, ValidationError
 from .stepfn import LEBESGUE, _piece_masses, ess_sup, integrate
 from .weighted import weighted_rearrangement
 
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 LUXEMBURG_RELATIVE_WIDTH = 1e-10
+_FLOAT_MAX = sys.float_info.max
 
 
 class OrliczFunction:
@@ -237,8 +239,8 @@ def luxemburg_norm(psi, f, m):
     modular crosses 1, then bisects to a relative width of {width:g}, or to
     adjacent floats when the scale is subnormal.  Returns 0 for functions
     vanishing ``m``-almost everywhere and ``inf`` when ``f`` is infinite on a
-    set of positive mass, when ``psi`` is infinite beyond 0, or when the
-    least scale overflows.
+    set of positive mass or ``psi`` is infinite beyond 0.  Raises
+    :class:`NormOverflowError` when the least scale exceeds the largest float.
     """
     levels, masses = _atoms(f, m)
     sup_ess = float(levels.max(initial=0.0))
@@ -248,36 +250,46 @@ def luxemburg_norm(psi, f, m):
         # no scale makes the modular finite; the search below would stop only
         # where the levels divided by the scale underflow to 0
         return math.inf
-    if psi.atom_norm is not None:
-        return psi.atom_norm(levels, masses)
-    # the levels are absolute values, so inside psi's domain [0, inf]: its raw
-    # function is evaluated directly, without the check each psi call makes
-    fn = psi._fn
+    with np.errstate(over="ignore", invalid="ignore"):
+        if psi.atom_norm is not None:
+            lam = psi.atom_norm(levels, masses)
+        else:
+            # the levels are absolute values, so inside psi's domain [0, inf]:
+            # its raw function is evaluated directly, without psi's own check
+            lam = _bisect(psi._fn, levels, masses, sup_ess)
+    if not math.isfinite(lam):
+        raise NormOverflowError(f"the {psi.name} norm exceeds the float range")
+    return lam
+
+
+def _bisect(fn, levels, masses, sup_ess):
+    """The least scale with modular at most 1, or ``inf`` past the largest float."""
 
     def modular_at(lam):
         return _atom_modular(fn, levels, masses, lam)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        if modular_at(sup_ess) <= 1.0:
-            hi = sup_ess
-            lo = sup_ess / 2.0
-            while lo > 0.0 and modular_at(lo) <= 1.0:  # lo is 0 once hi is the least positive float
-                hi = lo
-                lo /= 2.0
+    if modular_at(sup_ess) <= 1.0:
+        hi = sup_ess
+        lo = sup_ess / 2.0
+        while lo > 0.0 and modular_at(lo) <= 1.0:  # lo is 0 once hi is the least positive float
+            hi = lo
+            lo /= 2.0
+    else:
+        lo = sup_ess
+        hi = min(sup_ess * 2.0, _FLOAT_MAX)
+        while modular_at(hi) > 1.0:
+            if hi == _FLOAT_MAX:
+                return math.inf
+            lo = hi
+            hi = min(hi * 2.0, _FLOAT_MAX)
+    while hi - lo > LUXEMBURG_RELATIVE_WIDTH * hi:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:  # adjacent floats, as among the subnormals
+            break
+        if modular_at(mid) <= 1.0:
+            hi = mid
         else:
-            lo = sup_ess
-            hi = sup_ess * 2.0
-            while modular_at(hi) > 1.0:  # hi overflows to inf, where the modular is 0
-                lo = hi
-                hi *= 2.0
-        while hi - lo > LUXEMBURG_RELATIVE_WIDTH * hi:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # adjacent floats, as among the subnormals
-                break
-            if modular_at(mid) <= 1.0:
-                hi = mid
-            else:
-                lo = mid
+            lo = mid
     return float(hi)
 
 
@@ -291,7 +303,7 @@ def lp_norm(f, m, p):
 
 def norm_route_a(ctx, spec, a):
     """Norm of the singular value function under the weighted measure."""
-    return luxemburg_norm(spec.psi, singular_value_function(a), ctx.weight.measure())
+    return luxemburg_norm(spec.psi, singular_value_function(a), ctx.weight)
 
 
 def norm_route_b(ctx, spec, a):
@@ -314,7 +326,7 @@ def _has_finite_modular(psi, f, m):
 def membership_route_a(ctx, spec, a):
     """Whether some positive scaling of the singular value function has a
     finite modular under the weighted measure."""
-    return _has_finite_modular(spec.psi, singular_value_function(a), ctx.weight.measure())
+    return _has_finite_modular(spec.psi, singular_value_function(a), ctx.weight)
 
 
 def membership_route_b(ctx, spec, a):

@@ -32,6 +32,7 @@ __all__ = [
     "step_add",
     "step_mul",
     "step_equal",
+    "step_value_residual",
 ]
 
 
@@ -412,43 +413,23 @@ def step_mul(f, g):
     return StepFunction._raw(grid, prod)
 
 
-def _values_close(x, y, tol):
+def step_value_residual(f, g, sliver=1e-9):
+    """Largest pointwise gap between two step functions, ignoring pieces of
+    their common refinement no wider than ``sliver`` (breakpoint jitter).
+    Two infinite values agree."""
+    grid, vf, vg = _refine(f, g)
     with np.errstate(invalid="ignore"):
-        return bool(np.all((x == y) | (np.abs(x - y) <= tol)))
-
-
-def _merge_within(f, value_tol):
-    bp = list(f.breakpoints)
-    va = list(f.values)
-    i = 0
-    while i + 1 < len(va):
-        a, b = va[i], va[i + 1]
-        if a == b or (np.isfinite(a) and np.isfinite(b) and abs(a - b) <= value_tol):
-            # keep the value of the wider piece
-            if bp[i + 1] - bp[i] < bp[i + 2] - bp[i + 1]:
-                va[i] = b
-            del va[i + 1]
-            del bp[i + 1]
-        else:
-            i += 1
-    return np.asarray(bp), np.asarray(va)
+        gap = np.where(np.isinf(vf) & np.isinf(vg), 0.0, np.abs(vf - vg))
+    gap = np.where(np.isnan(gap), math.inf, gap)
+    wide = np.diff(grid) > sliver
+    return float(np.max(gap[wide])) if wide.any() else 0.0
 
 
 def step_equal(f, g, value_tol=1e-10, breakpoint_tol=1e-12):
-    """Structural equality of canonical forms with absolute tolerances.
+    """Equality within ``value_tol`` at every point, outside the pieces of the
+    common refinement no wider than ``breakpoint_tol``.
 
-    When floating-point noise leaves the two canonical forms with different
-    piece counts, both sides are re-merged with ``value_tol`` before the
-    final piecewise comparison.
+    Breakpoint jitter and floating-point noise that splits one piece into
+    several therefore compare equal.
     """
-    fb, fv = f.breakpoints, f.values
-    gb, gv = g.breakpoints, g.values
-    if fv.size != gv.size:
-        fb, fv = _merge_within(f, value_tol)
-        gb, gv = _merge_within(g, value_tol)
-        if fv.size != gv.size:
-            return False
-    return (
-        bool(np.all(np.abs(fb - gb) <= breakpoint_tol))
-        and _values_close(fv, gv, value_tol)
-    )
+    return step_value_residual(f, g, breakpoint_tol) <= value_tol

@@ -64,6 +64,7 @@ from .stepfn import (
     distribution,
     integrate,
     rearrange,
+    step_value_residual,
 )
 from .weighted import (
     ExpWeight,
@@ -82,7 +83,6 @@ __all__ = [
     "run_property",
     "run_suite",
     "format_report",
-    "step_value_residual",
 ]
 
 
@@ -98,22 +98,6 @@ class PropertyResult:
     @property
     def passed(self):
         return self.failures == 0
-
-
-def step_value_residual(f, g, sliver=1e-9):
-    """Largest pointwise gap between two step functions, ignoring pieces
-    narrower than ``sliver`` (breakpoint jitter)."""
-    grid = np.union1d(f.breakpoints, g.breakpoints)
-    if grid.size < 2:
-        return 0.0
-    left = grid[:-1]
-    vf = f(left)
-    vg = g(left)
-    both_inf = np.isinf(vf) & np.isinf(vg)
-    gap = np.where(both_inf, 0.0, np.abs(vf - vg))
-    gap = np.where(np.isnan(gap), math.inf, gap)
-    wide = np.diff(grid) > sliver
-    return float(np.max(gap[wide])) if wide.any() else 0.0
 
 
 def _shape_residual(f):
@@ -274,7 +258,7 @@ def _diag_shrink_candidates(inst):
                 Operator.from_diagonal(small, entries[keep]),
                 *rest,
             )
-    dens = getattr(ctx.weight, "density", None)
+    dens = ctx.weight.density
     if isinstance(dens, StepFunction) and dens.piece_count > 1:
         # drop the last density step
         bp = dens.breakpoints[:-1]
@@ -668,17 +652,16 @@ def _norm_axioms(inst):
 def _lp_quadrature(inst):
     ctx, a = inst
     mu = singular_value_function(a)
-    m = ctx.weight.measure()
     worst = 0.0
     for p in (1.0, 2.0, 3.0):
         direct = norm_route_a(ctx, NormSpec.lp(p), a)
         # midpoint quadrature on the refined grid; exact for step data
         grid = mu.breakpoints
-        dens = getattr(ctx.weight, "density", None)
+        dens = ctx.weight.density
         if isinstance(dens, StepFunction):
             grid = np.union1d(grid, dens.breakpoints)
         mids = 0.5 * (grid[:-1] + grid[1:])
-        masses = m.interval_mass(grid[:-1], grid[1:])
+        masses = ctx.weight.interval_mass(grid[:-1], grid[1:])
         quad = float(np.dot(mu(mids) ** p, masses)) ** (1.0 / p)
         worst = max(worst, abs(direct - quad) / (1.0 + quad))
     return worst

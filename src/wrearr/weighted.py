@@ -1,9 +1,10 @@
 """Weights, the weighted trace functional, and weighted rearrangements.
 
-A weight enters every computation through its decreasing density profile
-``mu(x)``: the weighted functional integrates singular value functions
-against it, and the weighted rearrangement is the decreasing rearrangement
-taken with respect to the measure it defines.  Two independent routes to
+A weight is the measure its decreasing density ``mu(x)`` defines: a
+:class:`~wrearr.stepfn.Measure`, passed wherever a measure is expected.  The
+weighted functional integrates singular value functions against it, and the
+weighted rearrangement is the decreasing rearrangement with respect to it.
+Two independent routes to
 the weighted rearrangement are provided, plus the exhaustive projection
 search that serves as ground truth for diagonal operators.
 """
@@ -62,35 +63,23 @@ def cross_route_tolerance():
     return value
 
 
-class Weight:
-    """Base class for weights, exposed through their density profile.
+class Weight(Measure):
+    """Base class for weights: the measure a decreasing density defines.
 
-    Concrete weights provide the cumulative mass function of their density
-    (continuous, zero at zero, strictly increasing up to ``support_bound``),
-    its inverse, and the measure with that density.
+    Concrete weights add ``support_bound`` and the inverse of the cumulative
+    mass, which is continuous, zero at zero and strictly increasing up to
+    ``support_bound``.
     """
 
+    __slots__ = ()
+
     kind = None
-
-    def cumulative(self, t):
-        raise NotImplementedError
-
-    def cumulative_inverse(self, u):
-        raise NotImplementedError
-
-    @property
-    def support_bound(self):
-        raise NotImplementedError
-
-    def total(self):
-        return self.cumulative(math.inf)
-
-    def measure(self):
-        raise NotImplementedError
 
 
 class StepWeight(Weight):
     """Weight given by a non-increasing step density (exact arithmetic)."""
+
+    __slots__ = ()
 
     kind = "step"
 
@@ -103,28 +92,18 @@ class StepWeight(Weight):
             raise ValidationError(
                 "weight density must be non-increasing; rearrange the payload first"
             )
-        if not np.all(np.isfinite(density.values)):
-            raise ValidationError("weight density must be finite")
-        self.density = density
-        self._measure = Measure.with_density(density)
+        super().__init__(density)
 
     @property
     def support_bound(self):
         return self.density.support_end
 
-    def cumulative(self, t):
-        return self._measure.cumulative(t)
-
     def cumulative_inverse(self, u):
         uu = np.asarray(u, dtype=float)
-        total = self._measure.total()
-        if np.any(uu < 0) or np.any(uu > total):
+        if np.any(uu < 0) or np.any(uu > self.total()):
             raise ValidationError("cumulative inverse needs 0 <= u <= total mass")
-        out = np.interp(uu, self._measure._cum, self._measure._knots)
+        out = np.interp(uu, self._cum, self._knots)
         return float(out) if uu.ndim == 0 else out
-
-    def measure(self):
-        return self._measure
 
     def __repr__(self):
         return f"StepWeight({self.density!r})"
@@ -133,16 +112,14 @@ class StepWeight(Weight):
 class ExpWeight(Weight):
     """The closed-form weight with density exp(-t)."""
 
+    __slots__ = ()
+
     kind = "exp"
 
-    density = EXPONENTIAL_DENSITY
+    support_bound = math.inf
 
-    @property
-    def support_bound(self):
-        return math.inf
-
-    def cumulative(self, t):
-        return EXPONENTIAL_DENSITY.cumulative(t)
+    def __init__(self):
+        super().__init__(EXPONENTIAL_DENSITY)
 
     def cumulative_inverse(self, u):
         uu = np.asarray(u, dtype=float)
@@ -151,9 +128,6 @@ class ExpWeight(Weight):
         with np.errstate(divide="ignore"):
             out = -np.log1p(-uu)
         return float(out) if uu.ndim == 0 else out
-
-    def measure(self):
-        return Measure.with_density(EXPONENTIAL_DENSITY)
 
     def __repr__(self):
         return "ExpWeight()"
@@ -186,7 +160,7 @@ def weighted_trace(ctx, a):
     Subadditive, homogeneous and faithful, but not additive.
     """
     _check_member(ctx, a)
-    return integrate(singular_value_function(a), ctx.weight.measure(), math.inf)
+    return integrate(singular_value_function(a), ctx.weight, math.inf)
 
 
 def weighted_distribution(ctx, a):
@@ -216,7 +190,7 @@ def weighted_rearrangement(ctx, a, cross_check=False):
     _check_member(ctx, a)
     weight = ctx.weight
     if a._rearranged is None or a._rearranged[0] is not weight:
-        a._rearranged = (weight, rearrange(singular_value_function(a), weight.measure()))
+        a._rearranged = (weight, rearrange(singular_value_function(a), weight))
     result = a._rearranged[1]
     if cross_check:
         other = generalized_inverse(weighted_distribution(ctx, a))

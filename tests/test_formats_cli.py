@@ -212,6 +212,21 @@ class TestCliErrors:
         )
         assert code == 3
 
+    def test_norm_beyond_the_float_range_exits_3(self, capsys, tmp_path):
+        op = tmp_path / "op.json"
+        op.write_text(
+            json.dumps(
+                {
+                    "algebra": {"kind": "matrix", "blocks": [2], "weights": [1.0]},
+                    "blocks": [[1e308, 0.0, 0.0, 1e308]],
+                }
+            )
+        )
+        args = ["norm", "--input", str(op), "--weight", f"{FIXTURES}/step_weight_21.json"]
+        assert main(args + ["--norm", "L1"]) == 3
+        assert "float range" in capsys.readouterr().err
+        assert main(args + ["--norm", "orlicz:cosh-1"]) == 0
+
     def test_wrong_block_shape_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "op.json"
         bad.write_text(

@@ -11,6 +11,7 @@ from wrearr import (
     Algebra,
     ExpWeight,
     Measure,
+    NormOverflowError,
     NormSpec,
     OrliczFunction,
     Operator,
@@ -241,6 +242,48 @@ class TestLuxemburgNorm:
         )
 
 
+class TestNormOverflow:
+    """diag(1e308, 1e308) carries weight mass 3 at level 1e308: its cosh-1 and
+    llogl norms are 1e308 times those at level 1, inside the float range,
+    while its L1 and capped:1.0 norms are 3e308, beyond it."""
+
+    M2 = Algebra.matrix_blocks([2], [1.0])
+    CTX = WeightedContext(M2, StepWeight(StepFunction([0, 1, 3], [2.0, 1.0])))
+    HUGE = Operator.from_diagonal(M2, [1e308, 1e308])
+    UNIT = Operator.from_diagonal(M2, [1.0, 1.0])
+
+    @pytest.mark.parametrize("route", [norm_route_a, norm_route_b])
+    @pytest.mark.parametrize("text", ["orlicz:cosh-1", "orlicz:llogl"])
+    def test_member_norm_near_the_float_limit_is_finite(self, text, route):
+        spec = NormSpec.parse(text)
+        assert membership_route_a(self.CTX, spec, self.HUGE)
+        assert membership_route_b(self.CTX, spec, self.HUGE)
+        expected = 1e308 * route(self.CTX, spec, self.UNIT)
+        assert route(self.CTX, spec, self.HUGE) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("route", [norm_route_a, norm_route_b])
+    @pytest.mark.parametrize("text", ["L1", "orlicz:capped:1.0"])
+    def test_member_norm_beyond_the_float_range_raises(self, text, route):
+        spec = NormSpec.parse(text)
+        assert membership_route_a(self.CTX, spec, self.HUGE)
+        assert membership_route_b(self.CTX, spec, self.HUGE)
+        with pytest.raises(NormOverflowError):
+            route(self.CTX, spec, self.HUGE)
+
+    @pytest.mark.parametrize("psi", [power(1), capped(1.0)], ids=lambda p: p.name)
+    def test_bisection_raises_where_the_closed_form_does(self, psi):
+        f = StepFunction([0, 3], [1e308])
+        for fn in (psi, _bisected(psi)):
+            with pytest.raises(NormOverflowError):
+                luxemburg_norm(fn, f, LEBESGUE)
+
+    def test_non_members_stay_infinite(self):
+        f = StepFunction([0, 1, 2], [math.inf, 1.0])
+        for psi in ALL_PSIS:
+            assert luxemburg_norm(psi, f, LEBESGUE) == math.inf
+        assert luxemburg_norm(ZERO_THRESHOLD, StepFunction([0, 1], [1.0]), LEBESGUE) == math.inf
+
+
 class TestLpNorm:
     def test_matches_quadrature(self):
         rng = rng_from_seed(99)
@@ -380,7 +423,7 @@ class TestMembership:
         assert membership_route_a(ctx, spec, a)
         from wrearr import singular_value_function
 
-        value = modular(power(1), singular_value_function(a), ctx.weight.measure())
+        value = modular(power(1), singular_value_function(a), ctx.weight)
         assert value == pytest.approx(1 - math.exp(-2), abs=1e-15)
 
     def test_routes_agree_on_random_corpus(self):

@@ -315,6 +315,12 @@ class TestStepEqual:
         assert f.piece_count != g.piece_count
         assert step_equal(f, g)
 
+    def test_ignores_a_sliver_of_the_refinement(self):
+        f = StepFunction([0, 1, 1 + 1e-13, 2], [2.0, 7.0, 1.0])
+        g = StepFunction([0, 1, 2], [2.0, 1.0])
+        assert f.piece_count != g.piece_count
+        assert step_equal(f, g)
+
     def test_detects_value_gap(self):
         f = StepFunction([0, 1], [1.0])
         g = StepFunction([0, 1], [1.0 + 1e-6])

@@ -19,12 +19,14 @@ from wrearr import (
     ValidationError,
     WeightedContext,
     absolute,
+    distribution,
     integrate,
     LEBESGUE,
     membership_route_a,
     membership_route_b,
     norm_route_a,
     norm_route_b,
+    rearrange,
     singular_value_function,
     spectral_projection,
     step_equal,
@@ -93,6 +95,22 @@ class TestWeightValidation:
     def test_support_bound(self):
         assert WEIGHT_21.support_bound == 3.0
         assert ExpWeight().support_bound == math.inf
+
+
+class TestWeightIsAMeasure:
+    @pytest.mark.parametrize(
+        "weight",
+        [WEIGHT_21, ExpWeight(), random_step_weight(rng_from_seed(5))],
+        ids=["step-21", "exp", "random-step"],
+    )
+    def test_same_results_as_the_measure_of_its_density(self, weight):
+        measure = Measure.with_density(weight.density)
+        f = StepFunction([0, 0.5, 1.5, 2.5, 4], [3.0, 1.0, 2.0, 0.5])
+        assert integrate(f, weight) == integrate(f, measure)
+        assert integrate(f, weight, 2.0) == integrate(f, measure, 2.0)
+        assert distribution(f, weight) == distribution(f, measure)
+        assert rearrange(f, weight) == rearrange(f, measure)
+        assert isinstance(weight, Measure)
 
 
 class TestCumulative:
@@ -264,7 +282,7 @@ class TestSpectralMemo:
             _all_routes(ctx, NormSpec.parse(text), a)
         # one singular value function (Lebesgue) and one weighted rearrangement
         assert len(calls) == 2
-        assert calls[0] is LEBESGUE and calls[1] is ctx.weight.measure()
+        assert calls[0] is LEBESGUE and calls[1] is ctx.weight
 
     @pytest.mark.parametrize("kind", ["matrix", "steps"])
     def test_interleaved_weights_match_fresh_operators(self, kind):
