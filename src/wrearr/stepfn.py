@@ -414,20 +414,24 @@ def step_mul(f, g):
 
 
 def step_value_residual(f, g, sliver=1e-9):
-    """Largest pointwise gap between two step functions, ignoring pieces of
-    their common refinement no wider than ``sliver`` (breakpoint jitter).
+    """Largest pointwise gap between two step functions.
+
+    A piece of their common refinement no wider than ``sliver`` is ignored
+    when it comes from breakpoint jitter, that is, when one of its endpoints
+    is a breakpoint of only one function; a piece of both is always compared.
     Two infinite values agree."""
     grid, vf, vg = _refine(f, g)
     with np.errstate(invalid="ignore"):
         gap = np.where(np.isinf(vf) & np.isinf(vg), 0.0, np.abs(vf - vg))
     gap = np.where(np.isnan(gap), math.inf, gap)
-    wide = np.diff(grid) > sliver
-    return float(np.max(gap[wide])) if wide.any() else 0.0
+    shared = np.isin(grid, f.breakpoints) & np.isin(grid, g.breakpoints)
+    kept = (np.diff(grid) > sliver) | (shared[:-1] & shared[1:])
+    return float(np.max(gap[kept])) if kept.any() else 0.0
 
 
 def step_equal(f, g, value_tol=1e-10, breakpoint_tol=1e-12):
-    """Equality within ``value_tol`` at every point, outside the pieces of the
-    common refinement no wider than ``breakpoint_tol``.
+    """Equality within ``value_tol`` at every point, outside the jitter
+    slivers of the common refinement no wider than ``breakpoint_tol``.
 
     Breakpoint jitter and floating-point noise that splits one piece into
     several therefore compare equal.

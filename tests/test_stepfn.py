@@ -321,6 +321,11 @@ class TestStepEqual:
         assert f.piece_count != g.piece_count
         assert step_equal(f, g)
 
+    def test_compares_a_narrow_piece_of_both_functions(self):
+        f = StepFunction([0, 1e-13], [5.0])
+        g = StepFunction([0, 1e-13], [1.0])
+        assert not step_equal(f, g)
+
     def test_detects_value_gap(self):
         f = StepFunction([0, 1], [1.0])
         g = StepFunction([0, 1], [1.0 + 1e-6])

@@ -237,6 +237,20 @@ class TestWeightedRearrangement:
         with pytest.raises(CrossRouteError):
             weighted_rearrangement(CTX_312, DIAG_312, cross_check=True)
 
+    def test_cross_check_raises_on_a_tiny_total_trace(self, monkeypatch):
+        alg = Algebra.matrix_blocks([2], [1e-13])
+        ctx = WeightedContext(alg, WEIGHT_21)
+        a = Operator.from_diagonal(alg, [3.0, 1.0])
+        original = weighted_mod.generalized_inverse
+
+        def scaled(d):
+            inv = original(d)
+            return StepFunction(inv.breakpoints, 5.0 * inv.values)
+
+        monkeypatch.setattr(weighted_mod, "generalized_inverse", scaled)
+        with pytest.raises(CrossRouteError):
+            weighted_rearrangement(ctx, a, cross_check=True)
+
     def test_integral_identity_on_random_corpus(self):
         rng = rng_from_seed(6)
         for _ in range(40):
