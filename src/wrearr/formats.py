@@ -74,7 +74,13 @@ def _float(x, where):
 def _float_list(raw, where):
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list of numbers")
-    return [_float(x, where) for x in raw]
+    # each type is checked once, not each number
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, raw))):
+        raise ParseError(f"{where}: expected a number")
+    try:
+        return np.array(raw, dtype=float)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ParseError(f"{where}: number out of the float range") from exc
 
 
 def step_to_obj(f):

@@ -37,7 +37,7 @@ __all__ = [
     "membership_route_b",
 ]
 
-LUXEMBURG_RELATIVE_WIDTH = 1e-10
+LUXEMBURG_RELATIVE_WIDTH = 2.0**-50  # 4 eps: a few units in the last place
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -48,8 +48,8 @@ class OrliczFunction:
     finite (``inf`` when it is finite everywhere); evaluation at ``inf``
     yields ``inf``.  ``atom_norm(levels, masses)``, when given, returns the
     Luxemburg norm in closed form from a function's levels on its pieces of
-    positive mass, finite and not all zero, and those masses; without it the
-    norm is found by bisection.
+    positive mass, finite and not all zero, and those masses; without it
+    :func:`luxemburg_norm` finds the norm by a bracketed Illinois search.
     """
 
     __slots__ = ("name", "_fn", "finite_threshold", "atom_norm")
@@ -61,9 +61,11 @@ class OrliczFunction:
         self.atom_norm = atom_norm
         if not self.finite_threshold >= 0:
             raise ValidationError("an Orlicz function's finite threshold must be >= 0")
-        if self(0.0) != 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # one raw evaluation at 0 and inf
+            at_zero, at_inf = (np.zeros(2) + fn(np.array([0.0, math.inf]))).tolist()
+        if at_zero != 0.0:
             raise ValidationError("an Orlicz function must vanish at 0")
-        if not math.isinf(self(math.inf)):
+        if not math.isinf(at_inf):
             raise ValidationError("an Orlicz function must be infinite at infinity")
 
     def __call__(self, u):
@@ -234,12 +236,14 @@ def luxemburg_norm(psi, f, m):
 
     The atoms of ``f`` under ``m`` are taken once; the modular at each scale
     is a dot product over them.  ``psi.atom_norm`` gives the norm in closed
-    form when set.  Otherwise a monotone bisection finds it: the bracket grows
-    or shrinks geometrically from the largest live level of ``|f|`` until the
-    modular crosses 1, then bisects to a relative width of {width:g}, or to
-    adjacent floats when the scale is subnormal.  Returns 0 for functions
-    vanishing ``m``-almost everywhere and ``inf`` when ``f`` is infinite on a
-    set of positive mass or ``psi`` is infinite beyond 0.  Raises
+    form when set.  Otherwise the bracket grows or shrinks by factors of 2 from
+    the largest live level of ``|f|`` until the modular crosses 1; Illinois
+    steps (regula falsi) on log(modular) against ``1 / lam``, or midpoint
+    steps while an end's modular is 0 or ``inf``, narrow it to a relative
+    width of {width:.1e}, or to adjacent floats when the scale is subnormal,
+    and its upper end is returned.  Returns 0 for functions vanishing
+    ``m``-almost everywhere and ``inf`` when ``f`` is infinite on a set of
+    positive mass or ``psi`` is infinite beyond 0.  Raises
     :class:`NormOverflowError` when the least scale exceeds the largest float.
     """
     levels, masses = _atoms(f, m)
@@ -256,40 +260,57 @@ def luxemburg_norm(psi, f, m):
         else:
             # the levels are absolute values, so inside psi's domain [0, inf]:
             # its raw function is evaluated directly, without psi's own check
-            lam = _bisect(psi._fn, levels, masses, sup_ess)
+            lam = _least_scale(psi._fn, levels, masses, sup_ess)
     if not math.isfinite(lam):
         raise NormOverflowError(f"the {psi.name} norm exceeds the float range")
     return lam
 
 
-def _bisect(fn, levels, masses, sup_ess):
+def _least_scale(fn, levels, masses, sup_ess):
     """The least scale with modular at most 1, or ``inf`` past the largest float."""
 
-    def modular_at(lam):
-        return _atom_modular(fn, levels, masses, lam)
+    def log_modular(lam):
+        value = _atom_modular(fn, levels, masses, lam)
+        return math.log(value) if value > 0.0 else -math.inf
 
-    if modular_at(sup_ess) <= 1.0:
-        hi = sup_ess
-        lo = sup_ess / 2.0
-        while lo > 0.0 and modular_at(lo) <= 1.0:  # lo is 0 once hi is the least positive float
-            hi = lo
-            lo /= 2.0
-    else:
-        lo = sup_ess
-        hi = min(sup_ess * 2.0, _FLOAT_MAX)
-        while modular_at(hi) > 1.0:
-            if hi == _FLOAT_MAX:
-                return math.inf
-            lo = hi
-            hi = min(hi * 2.0, _FLOAT_MAX)
+    # the bracket: halve lo while its modular is at most 1, else double hi
+    lo = hi = sup_ess
+    g_lo = g_hi = log_modular(sup_ess)
+    while g_lo <= 0.0:
+        hi, g_hi = lo, g_lo
+        lo /= 2.0
+        if lo == 0.0:  # hi is the least positive float
+            return hi
+        g_lo = log_modular(lo)
+    while g_hi > 0.0:
+        if hi == _FLOAT_MAX:
+            return math.inf
+        lo, g_lo = hi, g_hi
+        hi = min(hi * 2.0, _FLOAT_MAX)
+        g_hi = log_modular(hi)
+    replaced = None  # the end that the previous step moved
     while hi - lo > LUXEMBURG_RELATIVE_WIDTH * hi:
         mid = lo + 0.5 * (hi - lo)
-        if not lo < mid < hi:  # adjacent floats, as among the subnormals
+        if math.isfinite(g_lo) and math.isfinite(g_hi):
+            # the root of log(modular), linear in 1/lam through both ends, kept
+            # half the stopping width inside so that the far end moves too
+            inv = 1.0 / hi + (1.0 / lo - 1.0 / hi) * (g_hi / (g_hi - g_lo))
+            margin = 0.5 * LUXEMBURG_RELATIVE_WIDTH * hi
+            secant = min(max(1.0 / inv, lo + margin), hi - margin)
+            if lo < secant < hi:  # not so among the subnormals
+                mid = secant
+        if not lo < mid < hi:  # adjacent floats
             break
-        if modular_at(mid) <= 1.0:
-            hi = mid
+        g = log_modular(mid)
+        # Illinois: an end kept for a second step in a row has its value halved
+        if g <= 0.0:
+            if replaced == "hi":
+                g_lo *= 0.5
+            hi, g_hi, replaced = mid, g, "hi"
         else:
-            lo = mid
+            if replaced == "lo":
+                g_hi *= 0.5
+            lo, g_lo, replaced = mid, g, "lo"
     return float(hi)
 
 

@@ -300,10 +300,8 @@ LEBESGUE = Measure.lebesgue()
 
 
 def _piece_masses(f, m, upper=math.inf):
-    """Per-piece masses of f's pieces clipped to [0, upper)."""
-    starts = f.breakpoints[:-1]
-    ends = np.minimum(f.breakpoints[1:], upper)
-    return m.interval_mass(starts, ends)
+    """Per-piece masses of f's pieces clipped to [0, upper); 0 past ``upper``."""
+    return np.diff(m.cumulative(np.minimum(f.breakpoints, upper)))
 
 
 def integrate(f, m, upper=math.inf):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,47 @@ def test_symmetric_eigen_relative_accuracy_at_small_norm(scale):
     w, _ = symmetric_eigen(s)
     w_ref = np.linalg.eigvalsh(s)
     np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12 * np.abs(w_ref).max())
+
+
+def _characteristic_polynomial(a):
+    """Coefficients of det(x I - a), highest degree first, in exact rational
+    arithmetic (Faddeev-LeVerrier)."""
+    n = len(a)
+    coeffs = [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = a M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(a M_k) / k
+        m = [
+            [sum(a[i][l] * m[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        coeffs.append(-sum(a[i][l] * m[l][i] for i in range(n) for l in range(n)) / k)
+    return coeffs
+
+
+def _evaluate(coeffs, x):
+    value = Fraction(0)
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def test_one_sided_svd_keeps_relative_accuracy_on_a_graded_block():
+    # columns scaled by 1 .. 1e-30 in permuted order: Jacobi keeps every
+    # singular value to high relative accuracy (Demmel and Veselic 1992),
+    # where LAPACK's error is relative to the largest one only
+    c = np.random.default_rng(22).uniform(-1, 1, (6, 6))
+    scales = np.array([1e-12, 1.0, 1e-30, 1e-6, 1e-24, 1e-18])
+    b = c * scales
+    exact = [[Fraction(float(x)) for x in row] for row in b]
+    gram = [[sum(exact[k][i] * exact[k][j] for k in range(6)) for j in range(6)] for i in range(6)]
+    coeffs = _characteristic_polynomial(gram)
+    s, _ = one_sided_svd(b)
+    tol = Fraction(1, 10**13)
+    for sigma in s:
+        square = Fraction(float(sigma)) ** 2
+        below = _evaluate(coeffs, square * (1 - tol))
+        above = _evaluate(coeffs, square * (1 + tol))
+        # an eigenvalue of b^T b, a squared singular value, lies in between
+        assert below * above <= 0, f"no eigenvalue of b^T b within 1e-13 of {sigma:.6e}^2"

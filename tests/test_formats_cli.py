@@ -70,6 +70,18 @@ class TestJsonRoundTrips:
         with pytest.raises(ParseError):
             formats.parse_operator(obj)
 
+    @pytest.mark.parametrize("bad", [True, "1.0", None, 10**400], ids=repr)
+    def test_float_list_rejects_a_last_non_number(self, bad):
+        raw = [0.5] * 999 + [bad]
+        with pytest.raises(ParseError):
+            formats._float_list(raw, "values")
+
+    def test_float_list_converts_ints_floats_and_numpy_floats(self):
+        raw = [0, 3, -7, 2**60 + 1, 2**1000, 0.1, -2.5e-300, np.float64(1 / 3), np.float64(-4.0)] * 20
+        out = formats._float_list(raw, "values")
+        assert out.dtype == np.float64
+        assert [float(v) for v in out] == [float(x) for x in raw]
+
     def test_validation_errors(self):
         obj = {
             "algebra": {"kind": "matrix", "blocks": [2], "weights": [1.0]},

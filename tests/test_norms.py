@@ -31,10 +31,13 @@ from wrearr import (
     norm_route_a,
     norm_route_b,
     power,
+    singular_value_function,
+    weighted_rearrangement,
     weighted_trace,
 )
+from wrearr import norms
 from wrearr.generate import random_context, random_operator, rng_from_seed
-from wrearr.norms import LUXEMBURG_RELATIVE_WIDTH, _atom_modular, _atoms
+from wrearr.norms import _atom_modular, _atoms
 
 M3 = Algebra.matrix_blocks([3], [1.0])
 DIAG_312 = Operator.from_diagonal(M3, [3.0, 1.0, 2.0])
@@ -88,6 +91,63 @@ def _bisected(psi):
     return OrliczFunction(psi.name, psi._fn, psi.finite_threshold)
 
 
+# the functions whose norm the bracketed search finds
+SEARCHED_PSIS = [cosh_minus_one(), l_log_l()] + [
+    _bisected(psi) for psi in (power(3), capped(1.0), LINF)
+]
+
+
+def _spread_multiplier(rng, exp_weight):
+    """A multiplier on [0, 10) with 10 to 1000 pieces and levels spread over
+    2^+-24, under the exponential weight or a random non-increasing step one."""
+    pieces = int(rng.integers(10, 1001))
+    bp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, size=pieces))])
+    bp *= 10.0 / bp[-1]
+    levels = rng.uniform(0.05, 2.0, size=pieces) * np.exp2(rng.uniform(-24.0, 24.0, size=pieces))
+    if exp_weight:
+        return StepFunction(bp, levels), ExpWeight()
+    k = int(rng.integers(1, 7))
+    wbp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 3.0, size=k))])
+    density = np.sort(rng.uniform(0.1, 3.0, size=k))[::-1]
+    return StepFunction(bp, levels), StepWeight(StepFunction(wbp, density))
+
+
+def _assert_least_scale(psi, f, m, lam):
+    """modular(f / lam) <= 1 < modular(f / below), with below = lam (1 - 1e-14),
+    or the float below lam where that product rounds to lam itself."""
+    levels, masses = _atoms(f, m)
+    with np.errstate(over="ignore"):
+        assert _atom_modular(psi, levels, masses, lam) <= 1.0
+        if lam > math.ulp(0.0):
+            below = min(lam * (1.0 - 1e-14), math.nextafter(lam, 0.0))
+            assert _atom_modular(psi, levels, masses, below) > 1.0
+
+
+@st.composite
+def extreme_multipliers(draw):
+    """A multiplier and a step weight whose levels, piece lengths and densities
+    spread over 2^+-1000.  A density is capped where its piece's mass would
+    pass 2^1020, so that the weight's total mass stays finite."""
+
+    def powers_of_two(size):
+        return np.exp2(draw(st.lists(st.integers(-1000, 1000), min_size=size, max_size=size)))
+
+    def breakpoints(pieces):
+        return np.unique(np.concatenate([[0.0], np.cumsum(powers_of_two(pieces))]))
+
+    bp = breakpoints(draw(st.integers(1, 8)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=bp.size - 1, max_size=bp.size - 1))
+    step = StepFunction(bp, np.array(signs) * powers_of_two(bp.size - 1))
+    wbp = breakpoints(draw(st.integers(1, 4)))
+    density = np.sort(powers_of_two(wbp.size - 1))[::-1]
+    with np.errstate(over="ignore"):
+        cap = np.exp2(1020.0) / np.diff(wbp)
+    density = np.minimum.accumulate(np.minimum(density, cap))
+    interval = Algebra.commutative(bp[-1])
+    ctx = WeightedContext(interval, StepWeight(StepFunction(wbp, density)))
+    return ctx, Operator.multiplier(interval, step)
+
+
 class TestOrliczFunctions:
     @pytest.mark.parametrize("psi", ALL_PSIS, ids=lambda p: p.name)
     def test_vanishes_at_zero_and_diverges(self, psi):
@@ -125,6 +185,14 @@ class TestOrliczFunctions:
         # a NaN threshold would make every membership answer False
         with pytest.raises(ValidationError):
             OrliczFunction("bad", lambda u: u * u, threshold)
+
+    def test_rejects_a_function_not_vanishing_at_zero(self):
+        with pytest.raises(ValidationError, match="vanish at 0"):
+            OrliczFunction("shifted", lambda u: u + 1.0)
+
+    def test_rejects_a_function_finite_at_infinity(self):
+        with pytest.raises(ValidationError, match="infinite at infinity"):
+            OrliczFunction("bounded", lambda u: np.minimum(u, 1.0))
 
 
 class TestModular:
@@ -203,11 +271,10 @@ class TestLuxemburgNorm:
     def test_closed_forms_agree_with_bisection(self, psi, m, f):
         closed = luxemburg_norm(psi, f, m)
         bisected = luxemburg_norm(_bisected(psi), f, m)
-        # among the subnormals the bisection stops at adjacent floats
+        # the search stops within 4 eps relative, or among the subnormals at
+        # adjacent floats; the rest is rounding in the closed form
         subnormal_spacing = math.ulp(0.0)
-        assert closed == pytest.approx(
-            bisected, rel=LUXEMBURG_RELATIVE_WIDTH, abs=2 * subnormal_spacing
-        )
+        assert closed == pytest.approx(bisected, rel=1e-14, abs=2 * subnormal_spacing)
 
     @pytest.mark.parametrize("psi", [cosh_minus_one(), l_log_l()], ids=lambda p: p.name)
     def test_huge_value_on_a_null_piece_is_ignored(self, psi):
@@ -240,6 +307,61 @@ class TestLuxemburgNorm:
         assert luxemburg_norm(cosh_minus_one(), f, LEBESGUE) == pytest.approx(
             1e-320 / math.acosh(2.0), abs=2 * math.ulp(0.0)
         )
+
+
+class TestLeastScaleSearch:
+    """The bracketed search returns the least scale with modular at most 1,
+    to within 1e-14 relative, in few modular evaluations."""
+
+    INSTANCES = [
+        _spread_multiplier(rng_from_seed(seed), exp_weight)
+        for seed in range(12)
+        for exp_weight in (False, True)
+    ]
+
+    @pytest.mark.parametrize("psi", SEARCHED_PSIS, ids=lambda p: p.name)
+    def test_least_scale_on_spread_multipliers(self, psi):
+        for f, m in self.INSTANCES:
+            _assert_least_scale(psi, f, m, luxemburg_norm(psi, f, m))
+
+    @pytest.mark.parametrize("psi", SEARCHED_PSIS[:2], ids=lambda p: p.name)
+    def test_median_evaluation_count(self, psi, monkeypatch):
+        calls = []
+        counted = norms._atom_modular
+
+        def counting(*args):
+            calls[-1] += 1
+            return counted(*args)
+
+        monkeypatch.setattr(norms, "_atom_modular", counting)
+        for f, m in self.INSTANCES:
+            calls.append(0)
+            luxemburg_norm(psi, f, m)
+        assert np.median(calls) <= 16
+
+    @pytest.mark.parametrize("route", ["a", "b"])
+    @pytest.mark.parametrize("psi", SEARCHED_PSIS + [ZERO_THRESHOLD], ids=lambda p: p.name)
+    @given(instance=extreme_multipliers())
+    @settings(max_examples=40, deadline=None)
+    def test_accurate_or_typed_error_at_extreme_magnitudes(self, psi, route, instance):
+        ctx, a = instance
+        spec = NormSpec.orlicz(psi)
+        if route == "a":
+            member = membership_route_a(ctx, spec, a)
+            f, m = singular_value_function(a), ctx.weight
+        else:
+            member = membership_route_b(ctx, spec, a)
+            f, m = weighted_rearrangement(ctx, a), LEBESGUE
+        try:
+            lam = luxemburg_norm(psi, f, m)
+        except NormOverflowError:
+            assert member
+            return
+        if not member:
+            assert lam == math.inf
+        else:
+            assert math.isfinite(lam)
+            _assert_least_scale(psi, f, m, lam)
 
 
 class TestNormOverflow:

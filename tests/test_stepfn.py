@@ -20,6 +20,7 @@ from wrearr import (
     step_equal,
     step_mul,
 )
+from wrearr.stepfn import _piece_masses
 
 THREE_STEP = StepFunction([0, 1, 2, 3], [3, 2, 1])
 DENSITY_21 = StepFunction([0, 1, 3], [2, 1])
@@ -149,6 +150,27 @@ class TestMeasure:
             Measure.with_density(StepFunction([0, 1, 2], [1.0, -1.0]))
         with pytest.raises(ValidationError):
             Measure.with_density(StepFunction([0, 1], [math.inf]))
+
+
+class TestPieceMasses:
+    # breakpoints 0, 0.3, 1, 2.5, 4, 7.25: `upper` inside a piece, at a
+    # breakpoint, past the support, and unbounded
+    F = StepFunction([0, 0.3, 1, 2.5, 4, 7.25], [1.0, 2.0, 0.5, 3.0, 1.5])
+
+    @pytest.mark.parametrize("upper", [math.inf, 1.7, 2.5, 0.3, 0.1, 9.0])
+    @pytest.mark.parametrize("m", [LEBESGUE, WEIGHTED, EXP], ids=["lebesgue", "step", "exp"])
+    def test_equal_to_interval_masses_bit_for_bit(self, m, upper):
+        bp = self.F.breakpoints
+        expected = m.interval_mass(bp[:-1], np.minimum(bp[1:], upper))
+        assert np.array_equal(_piece_masses(self.F, m, upper), expected)
+
+    @pytest.mark.parametrize("m", [LEBESGUE, WEIGHTED, EXP], ids=["lebesgue", "step", "exp"])
+    @given(f=step_functions(max_pieces=40), upper=st.floats(0.0, 60.0))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_interval_masses_on_random_functions(self, m, f, upper):
+        bp = f.breakpoints
+        expected = m.interval_mass(bp[:-1], np.minimum(bp[1:], upper))
+        assert np.array_equal(_piece_masses(f, m, upper), expected)
 
 
 class TestIntegrate:
