@@ -31,11 +31,11 @@ print("\ncanonical form of (2,2,1,0):", g)
 print("\nintegral of f dt =", integrate(f, LEBESGUE))
 
 # Against a measure with a step density (2 on [0,1), 1 on [1,3)):
-nu = Measure.with_density(StepFunction([0, 1, 3], [2, 1]))
+nu = Measure(StepFunction([0, 1, 3], [2, 1]))
 print("integral of f dnu =", integrate(f, nu))
 
 # Against the closed-form exponential density exp(-t):
-exp_measure = Measure.with_density(EXPONENTIAL_DENSITY)
+exp_measure = Measure(EXPONENTIAL_DENSITY)
 print("integral of chi_[0,2) exp(-t) dt =", integrate(StepFunction([0, 2], [1.0]), exp_measure))
 
 # The distribution function t -> m({f > t}) is again a step function,

@@ -90,11 +90,6 @@ class Algebra:
     def total_dimension(self):
         return sum(self.block_sizes) if self.is_matrix else None
 
-    def trace_of_identity(self):
-        if self.is_matrix:
-            return float(sum(w * n for w, n in zip(self.trace_weights, self.block_sizes)))
-        return self.domain_bound
-
     def coordinate_weights(self):
         """Trace weight of each diagonal coordinate, flattened across blocks."""
         if not self.is_matrix:
@@ -290,14 +285,15 @@ class Operator:
     def __abs__(self):
         return absolute(self)
 
-    def is_projection(self, tol=_ENTRY_TOL):
+    def is_projection(self):
         if self.is_matrix:
             return all(
-                np.max(np.abs(b @ b - b)) <= tol and np.max(np.abs(b - b.T)) <= tol
+                np.max(np.abs(b @ b - b)) <= _ENTRY_TOL
+                and np.max(np.abs(b - b.T)) <= _ENTRY_TOL
                 for b in self.blocks
             )
         v = self.step.values
-        return bool(np.all(np.minimum(np.abs(v), np.abs(v - 1.0)) <= tol))
+        return bool(np.all(np.minimum(np.abs(v), np.abs(v - 1.0)) <= _ENTRY_TOL))
 
     def __repr__(self):
         if self.is_matrix:

@@ -12,6 +12,7 @@ entry into [1/2, 1), and both skip a pair (p, q) whose off-diagonal entry is
 small relative to the geometric mean of the two diagonal ones (Demmel &
 Veselic 1992).  The scaling is exact and the test is relative, so the result
 for ``2^k a`` is the result for ``a`` times ``2^k`` while no entry is subnormal.
+The relative threshold is ``OFF_DIAGONAL_TOL`` and the sweep cap ``MAX_SWEEPS``.
 """
 
 from __future__ import annotations
@@ -62,14 +63,14 @@ def _unconverged(block_index, sweeps, g):
     return EigenSolverError(block_index, "not converged", sweeps=sweeps, off_diagonal=off)
 
 
-def symmetric_eigen(matrix, off_tol=OFF_DIAGONAL_TOL, max_sweeps=MAX_SWEEPS, block_index=0):
+def symmetric_eigen(matrix, block_index=0):
     """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
     columns ``v`` such that ``matrix = v @ diag(w) @ v.T``.  A pair is rotated
-    unless ``|a_pq| <= off_tol * sqrt(|a_pp|) * sqrt(|a_qq|)``, and the
-    iteration stops after a sweep without rotations; failing that after
-    ``max_sweeps`` sweeps raises :class:`EigenSolverError` tagged with
+    unless ``|a_pq| <= OFF_DIAGONAL_TOL * sqrt(|a_pp|) * sqrt(|a_qq|)``, and
+    the iteration stops after a sweep without rotations; failing that after
+    ``MAX_SWEEPS`` sweeps raises :class:`EigenSolverError` tagged with
     ``block_index``.
     """
     a, e = _prescaled(matrix, block_index)
@@ -78,12 +79,12 @@ def symmetric_eigen(matrix, off_tol=OFF_DIAGONAL_TOL, max_sweeps=MAX_SWEEPS, blo
         raise EigenSolverError(block_index, "matrix is not symmetric")
     a = 0.5 * (a + a.T)
     v = np.eye(n)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 app, aqq, apq = a[p, p], a[q, q], a[p, q]
-                if abs(apq) <= off_tol * math.sqrt(abs(app)) * math.sqrt(abs(aqq)):
+                if abs(apq) <= OFF_DIAGONAL_TOL * math.sqrt(abs(app)) * math.sqrt(abs(aqq)):
                     continue
                 c, s = _rotation(app, aqq, apq)
                 _rotate(a, p, q, c, s)
@@ -94,24 +95,25 @@ def symmetric_eigen(matrix, off_tol=OFF_DIAGONAL_TOL, max_sweeps=MAX_SWEEPS, blo
         if not rotated:
             break
     else:
-        raise _unconverged(block_index, max_sweeps, a)
+        raise _unconverged(block_index, MAX_SWEEPS, a)
     w = np.ldexp(np.diag(a), e)
     order = np.argsort(w)
     return w[order], v[:, order]
 
 
-def one_sided_svd(matrix, off_tol=OFF_DIAGONAL_TOL, max_sweeps=MAX_SWEEPS, block_index=0):
+def one_sided_svd(matrix, block_index=0):
     """Singular values and right singular vectors by one-sided Jacobi sweeps.
 
     Rotates pairs of columns of ``matrix`` until they are mutually orthogonal
-    relative to ``off_tol``; the column norms are then the singular values and
-    the accumulated rotations the right singular vectors.  Returns ``(s, v)``
-    with ``s`` descending and ``matrix.T @ matrix = v @ diag(s**2) @ v.T``.
+    relative to ``OFF_DIAGONAL_TOL``, within ``MAX_SWEEPS`` sweeps; the column
+    norms are then the singular values and the accumulated rotations the right
+    singular vectors.  Returns ``(s, v)`` with ``s`` descending and
+    ``matrix.T @ matrix = v @ diag(s**2) @ v.T``.
     """
     b, e = _prescaled(matrix, block_index)
     n = b.shape[0]
     v = np.eye(n)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -120,7 +122,7 @@ def one_sided_svd(matrix, off_tol=OFF_DIAGONAL_TOL, max_sweeps=MAX_SWEEPS, block
                     continue
                 alpha = float(b[:, p] @ b[:, p])
                 beta = float(b[:, q] @ b[:, q])
-                if abs(gamma) <= off_tol * math.sqrt(alpha) * math.sqrt(beta):
+                if abs(gamma) <= OFF_DIAGONAL_TOL * math.sqrt(alpha) * math.sqrt(beta):
                     continue
                 c, s = _rotation(alpha, beta, gamma)
                 _rotate(b, p, q, c, s)
@@ -129,7 +131,7 @@ def one_sided_svd(matrix, off_tol=OFF_DIAGONAL_TOL, max_sweeps=MAX_SWEEPS, block
         if not rotated:
             break
     else:
-        raise _unconverged(block_index, max_sweeps, b.T @ b)
+        raise _unconverged(block_index, MAX_SWEEPS, b.T @ b)
     sv = np.ldexp(np.linalg.norm(b, axis=0), e)
     order = np.argsort(-sv, kind="stable")
     return sv[order], v[:, order]

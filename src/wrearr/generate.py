@@ -33,14 +33,11 @@ def rng_from_seed(seed):
     return np.random.default_rng(int(seed))
 
 
-def random_step_function(rng, max_pieces=6, max_level=2.0, signed=False):
+def random_step_function(rng, max_pieces=6):
     k = int(rng.integers(1, max_pieces + 1))
     widths = rng.uniform(0.2, 1.2, size=k)
     breakpoints = np.concatenate([[0.0], np.cumsum(widths)])
-    values = rng.uniform(0.05, max_level, size=k)
-    if signed:
-        values *= rng.choice([-1.0, 1.0], size=k)
-    return StepFunction(breakpoints, values)
+    return StepFunction(breakpoints, rng.uniform(0.05, 2.0, size=k))
 
 
 def random_step_weight(rng, max_pieces=8):
@@ -54,15 +51,15 @@ def random_step_weight(rng, max_pieces=8):
     return StepWeight(StepFunction(breakpoints, values))
 
 
-def random_weight(rng, exp_probability=0.25):
-    if rng.random() < exp_probability:
+def random_weight(rng):
+    if rng.random() < 0.25:
         return ExpWeight()
     return random_step_weight(rng)
 
 
-def random_matrix_algebra(rng, max_blocks=3, max_block_size=6):
-    nblocks = int(rng.integers(1, max_blocks + 1))
-    sizes = rng.integers(1, max_block_size + 1, size=nblocks)
+def random_matrix_algebra(rng):
+    nblocks = int(rng.integers(1, 4))
+    sizes = rng.integers(1, 7, size=nblocks)
     weights = rng.uniform(0.25, 2.0, size=nblocks)
     return Algebra.matrix_blocks(sizes, weights)
 
@@ -132,10 +129,10 @@ def random_partial_isometry(rng, algebra):
     return Operator(algebra, blocks=blocks)
 
 
-def random_context(rng, commutative_probability=0.25, exp_probability=0.25, max_block_size=6):
+def random_context(rng):
     """A random algebra-and-weight pair mixing all supported kinds."""
-    if rng.random() < commutative_probability:
+    if rng.random() < 0.25:
         algebra = Algebra.commutative(rng.uniform(1.0, 5.0))
     else:
-        algebra = random_matrix_algebra(rng, max_block_size=max_block_size)
-    return WeightedContext(algebra, random_weight(rng, exp_probability))
+        algebra = random_matrix_algebra(rng)
+    return WeightedContext(algebra, random_weight(rng))

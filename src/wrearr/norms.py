@@ -30,7 +30,6 @@ __all__ = [
     "NormSpec",
     "modular",
     "luxemburg_norm",
-    "lp_norm",
     "norm_route_a",
     "norm_route_b",
     "membership_route_a",
@@ -152,17 +151,16 @@ class NormSpec:
 
     ``lp(p)`` takes ``u^p``, or for p = inf the 0/inf step function at 1, so
     Lp shares the Orlicz closed forms and membership rule; it keeps ``p`` and
-    the label ``L<p>``.  ``kind`` is "lp" or "orlicz".
+    the label ``L<p>``.  ``p`` is None for any other Orlicz function.
     """
 
-    __slots__ = ("kind", "p", "psi")
+    __slots__ = ("p", "psi")
 
     def __init__(self, psi, p=None):
         if not isinstance(psi, OrliczFunction):
             raise ValidationError("a norm spec needs an OrliczFunction")
         self.psi = psi
         self.p = p
-        self.kind = "orlicz" if p is None else "lp"
 
     @classmethod
     def lp(cls, p):
@@ -215,7 +213,7 @@ def modular(psi, f, m):
     """The modular: integral of ``psi(f)`` against ``m``, infinity allowed."""
     if not f.is_nonnegative():
         raise ValidationError("the modular is defined for non-negative functions")
-    return integrate(f.map_values(psi), m, math.inf)
+    return integrate(f.map_values(psi), m)
 
 
 def _atoms(f, m):
@@ -315,11 +313,6 @@ def _least_scale(fn, levels, masses, sup_ess):
 
 
 luxemburg_norm.__doc__ = luxemburg_norm.__doc__.format(width=LUXEMBURG_RELATIVE_WIDTH)
-
-
-def lp_norm(f, m, p):
-    """(integral of |f|^p d m)^(1/p); essential supremum for p = inf."""
-    return luxemburg_norm(NormSpec.lp(p).psi, f, m)
 
 
 def norm_route_a(ctx, spec, a):

@@ -205,11 +205,6 @@ class ExponentialDensity:
 
     __slots__ = ()
 
-    support_bound = math.inf
-
-    def __call__(self, t):
-        return np.exp(-np.asarray(t, dtype=float))
-
     def cumulative(self, t):
         # integral of exp(-s) over [0, t) = 1 - exp(-t), exact via expm1
         return -np.expm1(-np.asarray(t, dtype=float))
@@ -222,7 +217,8 @@ EXPONENTIAL_DENSITY = ExponentialDensity()
 
 
 class Measure:
-    """Lebesgue measure on [0, oo), or the measure with a given density.
+    """Lebesgue measure on [0, oo) as ``Measure()``, or the measure with a given
+    density as ``Measure(density)``.
 
     The density is either a non-negative finite :class:`StepFunction` whose
     total mass is finite, or the closed-form :class:`ExponentialDensity`; both
@@ -253,18 +249,6 @@ class Measure:
             raise ValidationError("density must have a finite cumulative mass")
         self._cum.setflags(write=False)
 
-    @classmethod
-    def lebesgue(cls):
-        return cls(None)
-
-    @classmethod
-    def with_density(cls, density):
-        return cls(density)
-
-    @property
-    def is_lebesgue(self):
-        return self.density is None
-
     def cumulative(self, t):
         """Mass of [0, t); vectorized, ``t = inf`` allowed."""
         tt = np.asarray(t, dtype=float)
@@ -293,30 +277,28 @@ class Measure:
         return self.cumulative(math.inf)
 
     def __repr__(self):
-        return "Measure(lebesgue)" if self.is_lebesgue else f"Measure({self.density!r})"
+        return "Measure(lebesgue)" if self.density is None else f"Measure({self.density!r})"
 
 
-LEBESGUE = Measure.lebesgue()
+LEBESGUE = Measure()
 
 
-def _piece_masses(f, m, upper=math.inf):
-    """Per-piece masses of f's pieces clipped to [0, upper); 0 past ``upper``."""
-    return np.diff(m.cumulative(np.minimum(f.breakpoints, upper)))
+def _piece_masses(f, m):
+    """The ``m``-mass of each of f's pieces."""
+    return np.diff(m.cumulative(f.breakpoints))
 
 
-def integrate(f, m, upper=math.inf):
-    """Integral of ``f`` over [0, upper) against ``m``.
+def integrate(f, m):
+    """Integral of ``f`` over [0, oo) against ``m``.
 
     Exact for step densities (finite sum over the breakpoint refinement) and
     in closed form for the exponential density.  Returns ``inf`` when the
     integrand is infinite on a set of positive mass; pieces of zero mass
     contribute nothing regardless of their value.
     """
-    if upper < 0:
-        raise ValidationError("upper limit must be >= 0")
-    if upper == 0 or f.values.size == 0:
+    if f.values.size == 0:
         return 0.0
-    masses = _piece_masses(f, m, upper)
+    masses = _piece_masses(f, m)
     live = masses > 0
     if np.any(np.isinf(f.values) & live):
         return math.inf

@@ -129,13 +129,13 @@ def _corpus(rng):
     return ctx, random_operator(rng, ctx.algebra)
 
 
-def _matrix_corpus(rng, max_block_size=6):
-    ctx = WeightedContext(random_matrix_algebra(rng, max_block_size=max_block_size), random_weight(rng))
+def _matrix_corpus(rng):
+    ctx = WeightedContext(random_matrix_algebra(rng), random_weight(rng))
     return ctx, random_operator(rng, ctx.algebra)
 
 
-def _diag_corpus(rng, max_dim=8):
-    alg = random_diagonal_algebra(rng, max_dim=max_dim)
+def _diag_corpus(rng):
+    alg = random_diagonal_algebra(rng)
     ctx = WeightedContext(alg, random_step_weight(rng))
     return ctx, random_diagonal_operator(rng, alg)
 
@@ -145,8 +145,8 @@ def _random_measure(rng):
     if roll < 0.4:
         return LEBESGUE
     if roll < 0.5:
-        return Measure.with_density(EXPONENTIAL_DENSITY)
-    return Measure.with_density(random_step_function(rng, max_pieces=4))
+        return Measure(EXPONENTIAL_DENSITY)
+    return Measure(random_step_function(rng, max_pieces=4))
 
 
 def _step_instance(rng):
@@ -270,7 +270,8 @@ def _diag_shrink_candidates(inst):
         yield (WeightedContext(ctx.algebra, smaller), a, *rest)
 
 
-def _shrink(inst, fails, candidates, budget=60):
+def _shrink(inst, fails, candidates):
+    budget = 60
     current = inst
     progress = True
     while progress and budget > 0:
@@ -766,13 +767,11 @@ _REGISTRY = [
 PROPERTY_NAMES = [row.name for row in _REGISTRY]
 
 
-def run_property(name, seed, trials, cross_tol=None):
+def run_property(name, seed, trials):
     """Run one named property with its own deterministic stream."""
     for index, row in enumerate(_REGISTRY):
         if row.name == name:
-            tol = cross_tol if row.tolerance == "cross" else row.tolerance
-            if tol is None:
-                tol = cross_route_tolerance()
+            tol = cross_route_tolerance() if row.tolerance == "cross" else row.tolerance
             rng = np.random.default_rng([int(seed), index])
             if row.max_trials is not None:
                 trials = min(trials, row.max_trials)
@@ -781,12 +780,9 @@ def run_property(name, seed, trials, cross_tol=None):
     raise ValidationError(f"unknown property {name!r}")
 
 
-def run_suite(seed, trials, cross_tol=None, names=None):
-    """Run the whole registry (or a subset) with deterministic seeding."""
-    if cross_tol is None:
-        cross_tol = cross_route_tolerance()
-    selected = names if names is not None else PROPERTY_NAMES
-    return [run_property(name, seed, trials, cross_tol) for name in selected]
+def run_suite(seed, trials):
+    """Run the whole registry with deterministic seeding."""
+    return [run_property(name, seed, trials) for name in PROPERTY_NAMES]
 
 
 def format_report(results):

@@ -11,7 +11,6 @@ search that serves as ground truth for diagonal operators.
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -66,22 +65,18 @@ def cross_route_tolerance():
 class Weight(Measure):
     """Base class for weights: the measure a decreasing density defines.
 
-    Concrete weights add ``support_bound`` and the inverse of the cumulative
-    mass, which is continuous, zero at zero and strictly increasing up to
-    ``support_bound``.
+    Concrete weights add ``cumulative_inverse``, the inverse of the cumulative
+    mass ``W``, which is continuous, zero at zero and strictly increasing up to
+    the end of the density's support.
     """
 
     __slots__ = ()
-
-    kind = None
 
 
 class StepWeight(Weight):
     """Weight given by a non-increasing step density (exact arithmetic)."""
 
     __slots__ = ()
-
-    kind = "step"
 
     def __init__(self, density):
         if not isinstance(density, StepFunction):
@@ -93,10 +88,6 @@ class StepWeight(Weight):
                 "weight density must be non-increasing; rearrange the payload first"
             )
         super().__init__(density)
-
-    @property
-    def support_bound(self):
-        return self.density.support_end
 
     def cumulative_inverse(self, u):
         uu = np.asarray(u, dtype=float)
@@ -113,10 +104,6 @@ class ExpWeight(Weight):
     """The closed-form weight with density exp(-t)."""
 
     __slots__ = ()
-
-    kind = "exp"
-
-    support_bound = math.inf
 
     def __init__(self):
         super().__init__(EXPONENTIAL_DENSITY)
@@ -160,7 +147,7 @@ def weighted_trace(ctx, a):
     Subadditive, homogeneous and faithful, but not additive.
     """
     _check_member(ctx, a)
-    return integrate(singular_value_function(a), ctx.weight, math.inf)
+    return integrate(singular_value_function(a), ctx.weight)
 
 
 def weighted_distribution(ctx, a):

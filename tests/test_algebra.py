@@ -75,7 +75,7 @@ class TestAlgebraValidation:
     def test_commutative_bound(self):
         with pytest.raises(ValidationError):
             Algebra.commutative(0.0)
-        assert Algebra.commutative(2.0).trace_of_identity() == 2.0
+        assert Operator.identity(Algebra.commutative(2.0)).trace() == 2.0
 
     def test_payload_shape_checked(self):
         with pytest.raises(ValidationError):

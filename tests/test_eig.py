@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wrearr import eig
 from wrearr.eig import one_sided_svd, symmetric_eigen
 from wrearr.errors import EigenSolverError
 
@@ -53,16 +54,18 @@ def test_symmetric_eigen_rejects_asymmetric():
         symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_non_convergence_reports_block_index():
+def test_non_convergence_reports_block_index(monkeypatch):
     s = np.random.default_rng(1).uniform(-1, 1, (4, 4))
     s = s + s.T
+    monkeypatch.setattr(eig, "MAX_SWEEPS", 0)
     with pytest.raises(EigenSolverError) as err:
-        symmetric_eigen(s, max_sweeps=0, block_index=7)
+        symmetric_eigen(s, block_index=7)
     assert err.value.block_index == 7
     assert err.value.sweeps == 0
+    monkeypatch.setattr(eig, "MAX_SWEEPS", 1)
     for solver, m in ((symmetric_eigen, s), (one_sided_svd, s + np.eye(4))):
         with pytest.raises(EigenSolverError) as err:
-            solver(m, max_sweeps=1, block_index=3)
+            solver(m, block_index=3)
         assert err.value.block_index == 3 and err.value.sweeps == 1
         assert 1e-12 < err.value.off_diagonal < 1.0
         assert "after 1 sweeps" in str(err.value)

@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from wrearr import Algebra, Operator, ParseError, StepFunction, StepWeight, ValidationError
+from wrearr import (
+    Algebra,
+    ExpWeight,
+    Operator,
+    ParseError,
+    StepFunction,
+    StepWeight,
+    ValidationError,
+)
 from wrearr import formats
 from wrearr.cli import main
 from wrearr.generate import random_matrix_algebra, random_operator, rng_from_seed
@@ -36,7 +44,7 @@ class TestJsonRoundTrips:
         back = formats.parse_weight(formats.weight_to_obj(w))
         assert back.density == w.density
         exp_back = formats.parse_weight({"kind": "exp"})
-        assert exp_back.kind == "exp"
+        assert isinstance(exp_back, ExpWeight)
 
     def test_canonical_serialization_is_stable(self):
         w = StepWeight(StepFunction([0, 1, 3], [2.0, 1.0]))
@@ -285,6 +293,22 @@ class TestGen:
         path = tmp_path / "x.json"
         assert main(["gen", "--seed", "1", "--kind", "diag", "--size", "65", "--out", str(path)]) == 2
         assert main(["gen", "--seed", "1", "--kind", "weight", "--size", "9", "--out", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "-1", "--trials", "1"],
+        ["gen", "--seed", "-1", "--kind", "diag", "--size", "2", "--out", "unused.json"],
+    ],
+    ids=["verify", "gen"],
+)
+def test_negative_seed_exits_2(argv, capsys, tmp_path, monkeypatch):
+    # numpy rejects negative seeds; the CLI reports a parse error, not a traceback
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "unused.json").exists()
 
 
 class TestVerifyCommand:

@@ -108,12 +108,6 @@ def test_format_report_mentions_every_property():
     assert "1 failing trial(s)" in text
 
 
-def test_run_suite_subset():
-    results = run_suite(3, 2, names=["weighted-trace-homogeneous"])
-    assert len(results) == 1
-    assert results[0].passed
-
-
 # ``format_report(run_suite(42, 3))``: pins every property's rng draws and
 # residual formatting.
 GOLDEN_SUITE_42_3 = (

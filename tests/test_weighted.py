@@ -81,7 +81,7 @@ class TestWeightValidation:
         with pytest.raises(ValidationError):
             StepWeight(density)
         with pytest.raises(ValidationError):
-            Measure.with_density(density)
+            Measure(density)
         obj = {"kind": "step", "mu": {"breakpoints": breakpoints, "values": values}}
         with pytest.raises(ValidationError):
             formats.parse_weight(obj)
@@ -92,10 +92,6 @@ class TestWeightValidation:
         assert weight.cumulative(1.0) == 1e154
         assert weight.cumulative_inverse(1e308) == 1e154
 
-    def test_support_bound(self):
-        assert WEIGHT_21.support_bound == 3.0
-        assert ExpWeight().support_bound == math.inf
-
 
 class TestWeightIsAMeasure:
     @pytest.mark.parametrize(
@@ -104,10 +100,9 @@ class TestWeightIsAMeasure:
         ids=["step-21", "exp", "random-step"],
     )
     def test_same_results_as_the_measure_of_its_density(self, weight):
-        measure = Measure.with_density(weight.density)
+        measure = Measure(weight.density)
         f = StepFunction([0, 0.5, 1.5, 2.5, 4], [3.0, 1.0, 2.0, 0.5])
         assert integrate(f, weight) == integrate(f, measure)
-        assert integrate(f, weight, 2.0) == integrate(f, measure, 2.0)
         assert distribution(f, weight) == distribution(f, measure)
         assert rearrange(f, weight) == rearrange(f, measure)
         assert isinstance(weight, Measure)
@@ -147,7 +142,7 @@ class TestCumulative:
             ExpWeight().cumulative_inverse(1.5)
 
     def test_strictly_increasing_before_support_bound(self):
-        ts = np.linspace(0.0, WEIGHT_21.support_bound, 50)
+        ts = np.linspace(0.0, WEIGHT_21.density.support_end, 50)
         values = WEIGHT_21.cumulative(ts)
         assert np.all(np.diff(values) > 0)
 
@@ -213,7 +208,7 @@ class TestWeightedRearrangement:
         ctx = WeightedContext(alg, WEIGHT_21)
         a = 1.5 * Operator.identity(alg)
         mu = weighted_rearrangement(ctx, a, cross_check=True)
-        plateau = ctx.weight.cumulative(alg.trace_of_identity())
+        plateau = ctx.weight.cumulative(Operator.identity(alg).trace())
         assert mu == StepFunction([0.0, plateau], [1.5])
 
     def test_zero_operator(self):
@@ -259,6 +254,20 @@ class TestWeightedRearrangement:
             lhs = integrate(weighted_rearrangement(ctx, a), LEBESGUE)
             rhs = weighted_trace(ctx, a)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+    def test_is_the_singular_value_function_at_the_inverse_cumulative_weight(self):
+        # mu^w_t(a) = mu_{W^-1(t)}(a) for t in [0, W(oo)), and 0 past W(oo)
+        rng = rng_from_seed(7)
+        for _ in range(200):
+            ctx = random_context(rng)
+            a = random_operator(rng, ctx.algebra)
+            mu_w = weighted_rearrangement(ctx, a)
+            mu = singular_value_function(a)
+            total = ctx.weight.total()
+            for t in rng.uniform(0.0, total, size=20):
+                assert mu_w(float(t)) == mu(ctx.weight.cumulative_inverse(float(t)))
+            for t in [np.nextafter(total, math.inf), *rng.uniform(total, 2 * total, size=5)]:
+                assert mu_w(float(t)) == 0.0
 
 
 ORLICZ_REQUEST_NORMS = ["orlicz:cosh-1", "orlicz:llogl", "orlicz:pow:3", "orlicz:capped:1.0", "L2.5"]
