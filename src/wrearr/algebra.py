@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .eig import one_sided_svd, symmetric_eigen
+from .eig import one_sided_svd
 from .errors import ValidationError
 from .stepfn import LEBESGUE, StepFunction, rearrange, step_add, step_mul
 
@@ -127,7 +127,8 @@ class Operator:
     Operators are immutable, so spectral data derived from one is kept on it
     once built: the block SVDs, the singular value function, and the weighted
     rearrangement under the last weight asked for (see
-    :func:`wrearr.weighted.weighted_rearrangement`).
+    :func:`wrearr.weighted.weighted_rearrangement`).  On a positive operator
+    with exactly symmetric blocks, the kept SVDs are its eigendecomposition.
     """
 
     __slots__ = ("algebra", "blocks", "step", "_sv_cache", "_svf", "_rearranged")
@@ -326,28 +327,36 @@ class Projection(Operator):
         return Projection.wrap(Operator.identity(self.algebra) - self)
 
 
-def _positive_eigen(a, label="operator"):
-    """Per-block eigen pairs of a positive operator, negatives clipped, and the
+def _positive_svd(a, label):
+    """Per-block ``(s, v)`` of a positive operator, ``s`` descending, and the
     clustering tolerance ``1e-9 * ||a||``.
 
-    ``||a||`` is read off the eigenvalues of the blocks' symmetric parts, and
-    the same tolerance then validates symmetry and positivity.
+    A positive block's singular values are its eigenvalues, so the kept SVD is
+    its eigendecomposition; a block symmetric only within the tolerance is read
+    through the SVD of its symmetric part.  ``d = v^T b v`` must be diagonal
+    with no entry below zero, within the tolerance: that rejects a negative
+    eigenvalue, and a basis that mixes the eigenvectors of ``+l`` and ``-l``.
     """
-    pairs = [symmetric_eigen(0.5 * (b + b.T), block_index=k) for k, b in enumerate(a.blocks)]
-    tol = 1e-9 * max(np.max(np.abs(w)) for w, _ in pairs)
-    for k, (b, (w, _)) in enumerate(zip(a.blocks, pairs)):
+    sym = a
+    if not all(np.array_equal(b, b.T) for b in a.blocks):
+        sym = Operator(a.algebra, blocks=[0.5 * (b + b.T) for b in a.blocks])
+    tol = 1e-9 * sym.norm()
+    for k, (b, h, (_, v)) in enumerate(zip(a.blocks, sym.blocks, sym._block_svd())):
         if np.max(np.abs(b - b.T)) > tol:
             raise ValidationError(f"{label} must be symmetric (block {k})")
-        if w[0] < -tol:
+        d = v.T @ h @ v
+        if np.max(np.abs(d - np.diag(np.diag(d)))) > tol or np.diag(d).min() < -tol:
             raise ValidationError(f"{label} must be positive semidefinite (block {k})")
-    return [(np.clip(w, 0.0, None), v) for w, v in pairs], tol
+    return sym._block_svd(), tol
 
 
 def absolute(a):
     """The positive part |a| = (a^T a)^(1/2), computed per block."""
     if not a.is_matrix:
         return Operator(a.algebra, step=a.step.absolute())
-    return Operator(a.algebra, blocks=[(v * s) @ v.T for s, v in a._block_svd()])
+    hs = [(v * s) @ v.T for s, v in a._block_svd()]
+    # exactly symmetric, so one SVD of |a| serves all its spectral projections
+    return Operator(a.algebra, blocks=[0.5 * (h + h.T) for h in hs])
 
 
 def singular_value_function(a):
@@ -388,29 +397,22 @@ def spectral_projection(a, threshold):
     kept or dropped together, so ties at the threshold cannot split a nearly
     degenerate eigenspace.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValidationError("threshold must be >= 0")
     if not a.is_matrix:
         if np.any(a.step.values < 0):
             raise ValidationError("spectral projection needs a positive multiplier")
         indicator = a.step.map_values(lambda u: np.where(np.asarray(u) > threshold, 1.0, 0.0))
         return Projection(a.algebra, step=indicator)
-    pairs, tol = _positive_eigen(a, "spectral projection argument")
+    svd, tol = _positive_svd(a, "spectral projection argument")
     blocks = []
-    for w, v in pairs:
-        keep = np.zeros(w.size, dtype=bool)
-        i = w.size - 1
-        while i >= 0:  # walk clusters from the top eigenvalue down
-            j = i
-            while j > 0 and w[j] - w[j - 1] <= tol:
-                j -= 1
-            if w[i] > threshold:
-                keep[j : i + 1] = True
-                i = j - 1
-            else:
-                break
-        sel = v[:, keep]
-        blocks.append(sel @ sel.T)
+    for s, v in svd:
+        k = 0
+        while k < s.size and s[k] > threshold:  # keep whole clusters, top one first
+            k += 1
+            while k < s.size and s[k - 1] - s[k] <= tol:
+                k += 1
+        blocks.append(v[:, :k] @ v[:, :k].T)
     return Projection(a.algebra, blocks=blocks)
 
 
@@ -431,11 +433,11 @@ def apply_function(psi, a):
             raise InfiniteValueError("function is infinite on the spectrum")
         return Operator(a.algebra, step=StepFunction._raw(a.step.breakpoints, mapped))
     blocks = []
-    for w, v in _positive_eigen(a, "functional calculus argument")[0]:
-        mapped = np.asarray(psi(w), dtype=float)
+    for s, v in _positive_svd(a, "functional calculus argument")[0]:
+        mapped = np.asarray(psi(s), dtype=float)
         if np.any(np.isinf(mapped)):
             raise InfiniteValueError("function is infinite on the spectrum")
-        blocks.append(v @ np.diag(mapped) @ v.T)
+        blocks.append((v * mapped) @ v.T)
     return Operator(a.algebra, blocks=blocks)
 
 

@@ -1,18 +1,20 @@
-"""Cyclic Jacobi routines for small dense real matrices.
+"""Cyclic Jacobi singular value decomposition for small dense real matrices.
 
-Two variants: the classical two-sided iteration for symmetric
-eigendecompositions, and the one-sided (Hestenes) iteration for singular
-values.  The one-sided form works on the matrix itself rather than on
-``a.T @ a``, which keeps tiny and zero singular values accurate to machine
-precision instead of ``sqrt(eps)``.  Both converge quadratically and are
-comfortable at the block sizes this package allows (n <= 64).
+One solver, the one-sided (Hestenes) iteration.  It works on the matrix
+itself rather than on ``a.T @ a``, which keeps tiny and zero singular values
+accurate to machine precision instead of ``sqrt(eps)``.  It converges
+quadratically and is comfortable at the block sizes this package allows
+(n <= 64).  For a positive matrix the singular values are the eigenvalues,
+so the same solve also serves spectral projections and the functional
+calculus (see :mod:`wrearr.algebra`).
 
-Both first divide the matrix by the power of two that brings its largest
-entry into [1/2, 1), and both skip a pair (p, q) whose off-diagonal entry is
-small relative to the geometric mean of the two diagonal ones (Demmel &
-Veselic 1992).  The scaling is exact and the test is relative, so the result
-for ``2^k a`` is the result for ``a`` times ``2^k`` while no entry is subnormal.
-The relative threshold is ``OFF_DIAGONAL_TOL`` and the sweep cap ``MAX_SWEEPS``.
+It first divides the matrix by the power of two that brings its largest
+entry into [1/2, 1), and it skips a pair of columns (p, q) whose inner
+product is small relative to the geometric mean of their squared norms
+(Demmel & Veselic 1992).  The scaling is exact and the test is relative, so
+the result for ``2^k a`` is the result for ``a`` times ``2^k`` while no entry
+is subnormal.  The relative threshold is ``OFF_DIAGONAL_TOL`` and the sweep
+cap ``MAX_SWEEPS``.
 """
 
 from __future__ import annotations
@@ -54,51 +56,13 @@ def _rotate(m, p, q, c, s):
 
 
 def _unconverged(block_index, sweeps, g):
-    """The error for a block whose symmetric (or Gram) matrix ``g`` is still off-diagonal,
+    """The error for a block whose Gram matrix ``g`` is still off-diagonal,
     carrying the largest ``|g_pq| / sqrt(|g_pp g_qq|)``, the stopping rule's measure."""
     d = np.sqrt(np.abs(np.diag(g)))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(g - np.diag(np.diag(g))) / np.outer(d, d)
     off = float(np.nanmax(ratio, initial=0.0))
     return EigenSolverError(block_index, "not converged", sweeps=sweeps, off_diagonal=off)
-
-
-def symmetric_eigen(matrix, block_index=0):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    columns ``v`` such that ``matrix = v @ diag(w) @ v.T``.  A pair is rotated
-    unless ``|a_pq| <= OFF_DIAGONAL_TOL * sqrt(|a_pp|) * sqrt(|a_qq|)``, and
-    the iteration stops after a sweep without rotations; failing that after
-    ``MAX_SWEEPS`` sweeps raises :class:`EigenSolverError` tagged with
-    ``block_index``.
-    """
-    a, e = _prescaled(matrix, block_index)
-    n = a.shape[0]
-    if n > 1 and np.max(np.abs(a - a.T)) > 1e-10:
-        raise EigenSolverError(block_index, "matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    for _ in range(MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app, aqq, apq = a[p, p], a[q, q], a[p, q]
-                if abs(apq) <= OFF_DIAGONAL_TOL * math.sqrt(abs(app)) * math.sqrt(abs(aqq)):
-                    continue
-                c, s = _rotation(app, aqq, apq)
-                _rotate(a, p, q, c, s)
-                _rotate(a.T, p, q, c, s)
-                a[p, q] = a[q, p] = 0.0
-                _rotate(v, p, q, c, s)
-                rotated = True
-        if not rotated:
-            break
-    else:
-        raise _unconverged(block_index, MAX_SWEEPS, a)
-    w = np.ldexp(np.diag(a), e)
-    order = np.argsort(w)
-    return w[order], v[:, order]
 
 
 def one_sided_svd(matrix, block_index=0):

@@ -329,7 +329,7 @@ def distribution(f, m):
     order = np.argsort(-v)
     v = v[order]
     w = w[order]
-    cum = np.cumsum(w)
+    cum = np.minimum(np.cumsum(w), m.total())  # the running sum can round above m's total
     # one entry per distinct value: total mass where f >= that value
     last_of_run = np.ones(v.size, dtype=bool)
     last_of_run[:-1] = v[1:] != v[:-1]

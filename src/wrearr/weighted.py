@@ -198,7 +198,7 @@ def weighted_rearrangement_oracle(ctx, a, t):
     dimension, hence refused above {cap} coordinates.
     """
     _check_member(ctx, a)
-    if t < 0:
+    if not t >= 0:
         raise ValidationError("the rearrangement parameter must be >= 0")
     if not ctx.algebra.is_matrix or not a.is_diagonal():
         raise ValidationError("the exhaustive oracle needs diagonal matrix blocks")

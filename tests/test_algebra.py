@@ -214,6 +214,15 @@ class TestSpectralProjection:
             spectral_projection(Operator.from_diagonal(M2, [1.0, -1.0]), 0.5)
 
 
+    def test_nan_threshold_rejected(self):
+        interval = Algebra.commutative(1.0)
+        for a in (
+            Operator.from_diagonal(M2, [2.0, 1.0]),
+            Operator.multiplier(interval, StepFunction([0, 1], [2.0])),
+        ):
+            with pytest.raises(ValidationError, match="threshold"):
+                spectral_projection(a, math.nan)
+
     @pytest.mark.parametrize("k", [-1000, -530, -43, 0, 255, 498, 530, 1000])
     def test_scaled_projection_matches_unscaled(self, k):
         # tolerances are relative to ||a||, so 2^k a splits where a does
@@ -255,6 +264,41 @@ class TestApplyFunction:
         image = apply_function(power(2), a)
         expected = 1.0 * np.outer(u, u) + 4.0 * np.outer(w, w)
         assert np.allclose(image.blocks[0], expected, atol=1e-12)
+
+    def test_positivity_boundary_is_the_tolerance(self):
+        # tol = 1e-9 * ||a|| = 1e-9: an eigenvalue of -2 tol is rejected, one of -tol/2 kept
+        q = np.linalg.qr(rng_from_seed(5).standard_normal((3, 3)))[0]
+        for smallest, accepted in ((-2e-9, False), (-0.5e-9, True)):
+            h = (q * [1.0, 0.5, smallest]) @ q.T
+            a = Operator(M3, blocks=[0.5 * (h + h.T)])
+            if accepted:
+                image = apply_function(power(2), a)
+                assert np.allclose(image.blocks[0], a.blocks[0] @ a.blocks[0], atol=1e-12)
+            else:
+                with pytest.raises(ValidationError, match="positive semidefinite"):
+                    apply_function(power(2), a)
+
+    def test_rejects_the_swap_matrix(self):
+        # eigenvalues +1 and -1 share the singular value 1
+        a = Operator(M2, blocks=[np.array([[0.0, 1.0], [1.0, 0.0]])])
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            apply_function(power(2), a)
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            spectral_projection(a, 0.5)
+
+    def test_accepts_low_rank_block_symmetric_within_the_tolerance(self):
+        # rank one in dimension 8, plus an antisymmetric perturbation on the null
+        # space: |b - b^T| = 0.9 tol, so b is read through its symmetric part
+        alg = Algebra.matrix_blocks([8], [1.0])
+        q = np.linalg.qr(rng_from_seed(6).standard_normal((8, 3)))[0]
+        u, w1, w2 = q.T
+        skew = np.outer(w1, w2) - np.outer(w2, w1)
+        a = Operator(alg, blocks=[3.0 * np.outer(u, u) + 0.45 * 3e-9 * skew / np.abs(skew).max()])
+        assert np.max(np.abs(a.blocks[0] - a.blocks[0].T)) == pytest.approx(0.9 * 3e-9)
+        image = apply_function(power(2), a)
+        assert np.allclose(image.blocks[0], 9.0 * np.outer(u, u), atol=1e-12)
+        p = spectral_projection(a, 1.0)
+        assert np.allclose(p.blocks[0], np.outer(u, u), atol=1e-12)
 
     def test_infinite_value_on_spectrum(self):
         a = Operator.from_diagonal(M2, [2.0, 0.5])
@@ -329,24 +373,17 @@ class TestSolverCounts:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"svd": 0, "eigh": 0}
+        counts = {"svd": 0}
+        solver = algebra_mod.one_sided_svd
 
-        def counting(key, solver):
-            def wrapped(*args, **kwargs):
-                counts[key] += 1
-                return solver(*args, **kwargs)
+        def counting(*args, **kwargs):
+            counts["svd"] += 1
+            return solver(*args, **kwargs)
 
-            return wrapped
-
-        monkeypatch.setattr(
-            algebra_mod, "one_sided_svd", counting("svd", algebra_mod.one_sided_svd)
-        )
-        monkeypatch.setattr(
-            algebra_mod, "symmetric_eigen", counting("eigh", algebra_mod.symmetric_eigen)
-        )
+        monkeypatch.setattr(algebra_mod, "one_sided_svd", counting)
         return counts
 
-    def test_spectral_request_runs_one_svd_and_one_eigh(self, calls):
+    def test_spectral_request_runs_one_svd_per_operator(self, calls):
         alg = Algebra.matrix_blocks([12], [0.5])
         a = Operator(alg, blocks=[rng_from_seed(11).standard_normal((12, 12))])
         ctx = WeightedContext(alg, ExpWeight())
@@ -355,8 +392,21 @@ class TestSolverCounts:
         norm_route_a(ctx, l2, a)
         norm_route_b(ctx, l2, a)
         s = singular_value_function(a).values
-        spectral_projection(absolute(a), math.sqrt(s[3] * s[4]))
-        assert calls == {"svd": 1, "eigh": 1}
+        pos = absolute(a)
+        spectral_projection(pos, math.sqrt(s[3] * s[4]))
+        assert calls == {"svd": 2}  # one for a, one for |a|
+        for t in s[:6]:
+            spectral_projection(pos, float(t))
+        assert calls == {"svd": 2}
+
+    def test_positive_operator_is_solved_once_per_block(self, calls):
+        pos = absolute(random_operator(rng_from_seed(13), Algebra.matrix_blocks([4, 5], [1.0, 2.0])))
+        assert calls["svd"] == 2
+        for psi in (power(2), power(3), capped(10.0 * pos.norm())):
+            apply_function(psi, pos)
+        spectral_projection(pos, 0.5 * pos.norm())
+        singular_value_function(pos)
+        assert calls["svd"] == 4
 
     def test_absolute_reuses_cached_svd(self, calls):
         a = random_operator(rng_from_seed(12), Algebra.matrix_blocks([4, 5], [1.0, 2.0]))

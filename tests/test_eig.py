@@ -4,20 +4,8 @@ import numpy as np
 import pytest
 
 from wrearr import eig
-from wrearr.eig import one_sided_svd, symmetric_eigen
+from wrearr.eig import one_sided_svd
 from wrearr.errors import EigenSolverError
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
-def test_symmetric_eigen_matches_lapack(n):
-    rng = np.random.default_rng(n)
-    g = rng.uniform(-1, 1, size=(n, n))
-    s = g + g.T
-    w, v = symmetric_eigen(s)
-    w_ref = np.linalg.eigvalsh(s)
-    np.testing.assert_allclose(w, w_ref, atol=1e-11 * (1 + np.abs(w_ref).max()))
-    np.testing.assert_allclose(v @ v.T, np.eye(n), atol=1e-12)
-    np.testing.assert_allclose(v @ np.diag(w) @ v.T, s, atol=1e-11 * (1 + np.abs(w_ref).max()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
@@ -49,27 +37,21 @@ def test_one_sided_svd_tiny_singular_value_keeps_relative_accuracy():
     assert s[1] == pytest.approx(1e-9, rel=1e-9)
 
 
-def test_symmetric_eigen_rejects_asymmetric():
-    with pytest.raises(EigenSolverError):
-        symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_non_convergence_reports_block_index(monkeypatch):
     s = np.random.default_rng(1).uniform(-1, 1, (4, 4))
-    s = s + s.T
+    m = s + s.T + np.eye(4)
     monkeypatch.setattr(eig, "MAX_SWEEPS", 0)
     with pytest.raises(EigenSolverError) as err:
-        symmetric_eigen(s, block_index=7)
+        one_sided_svd(m, block_index=7)
     assert err.value.block_index == 7
     assert err.value.sweeps == 0
     monkeypatch.setattr(eig, "MAX_SWEEPS", 1)
-    for solver, m in ((symmetric_eigen, s), (one_sided_svd, s + np.eye(4))):
-        with pytest.raises(EigenSolverError) as err:
-            solver(m, block_index=3)
-        assert err.value.block_index == 3 and err.value.sweeps == 1
-        assert 1e-12 < err.value.off_diagonal < 1.0
-        assert "after 1 sweeps" in str(err.value)
-        assert f"{err.value.off_diagonal:.3e}" in str(err.value)
+    with pytest.raises(EigenSolverError) as err:
+        one_sided_svd(m, block_index=3)
+    assert err.value.block_index == 3 and err.value.sweeps == 1
+    assert 1e-12 < err.value.off_diagonal < 1.0
+    assert "after 1 sweeps" in str(err.value)
+    assert f"{err.value.off_diagonal:.3e}" in str(err.value)
 
 
 SCALE_EXPONENTS = [-1000, -530, -43, 0, 255, 498, 530, 1000]
@@ -84,19 +66,6 @@ def test_solvers_are_scale_equivariant(k):
     s_k, v_k = one_sided_svd(np.ldexp(a, k))
     np.testing.assert_array_equal(s_k, np.ldexp(s, k))
     np.testing.assert_array_equal(v_k, v)
-    w, u = symmetric_eigen(a + a.T)
-    w_k, u_k = symmetric_eigen(np.ldexp(a + a.T, k))
-    np.testing.assert_array_equal(w_k, np.ldexp(w, k))
-    np.testing.assert_array_equal(u_k, u)
-
-
-@pytest.mark.parametrize("scale", [1e-13, 1e-11, 1.0])
-def test_symmetric_eigen_relative_accuracy_at_small_norm(scale):
-    g = np.random.default_rng(4).uniform(-1, 1, (6, 6))
-    s = scale * (g + g.T)
-    w, _ = symmetric_eigen(s)
-    w_ref = np.linalg.eigvalsh(s)
-    np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12 * np.abs(w_ref).max())
 
 
 def _characteristic_polynomial(a):

@@ -269,6 +269,18 @@ class TestWeightedRearrangement:
             for t in [np.nextafter(total, math.inf), *rng.uniform(total, 2 * total, size=5)]:
                 assert mu_w(float(t)) == 0.0
 
+    def test_vanishes_at_the_total_weight(self):
+        # on the 273rd instance of seed 102 the running sum of the piece masses
+        # rounds one ulp past W(oo), which put the smallest singular value there
+        rng = rng_from_seed(102)
+        for _ in range(273):
+            ctx = random_context(rng)
+            a = random_operator(rng, ctx.algebra)
+        total = ctx.weight.total()
+        mu_w = weighted_rearrangement(ctx, a, cross_check=True)
+        assert mu_w.support_end <= total
+        assert mu_w(total) == 0.0
+
 
 ORLICZ_REQUEST_NORMS = ["orlicz:cosh-1", "orlicz:llogl", "orlicz:pow:3", "orlicz:capped:1.0", "L2.5"]
 
@@ -348,6 +360,10 @@ class TestOracle:
         total = CTX_312.weight.total()
         assert weighted_rearrangement_oracle(CTX_312, DIAG_312, total) == 0.0
         assert weighted_rearrangement_oracle(CTX_312, DIAG_312, total + 1.0) == 0.0
+
+    def test_rejects_nan_parameter(self):
+        with pytest.raises(ValidationError, match="rearrangement parameter"):
+            weighted_rearrangement_oracle(CTX_312, DIAG_312, math.nan)
 
     def test_at_zero_only_full_projection_is_admissible(self):
         assert weighted_rearrangement_oracle(CTX_312, DIAG_312, 0.0) == 3.0
