@@ -14,7 +14,7 @@ import numpy as np
 
 from .eig import one_sided_svd
 from .errors import ValidationError
-from .stepfn import LEBESGUE, StepFunction, rearrange, step_add, step_mul
+from .stepfn import StepFunction, step_add, step_mul
 
 __all__ = [
     "MAX_BLOCK_SIZE",
@@ -127,8 +127,9 @@ class Operator:
     Operators are immutable, so spectral data derived from one is kept on it
     once built: the block SVDs, the singular value function, and the weighted
     rearrangement under the last weight asked for (see
-    :func:`wrearr.weighted.weighted_rearrangement`).  On a positive operator
-    with exactly symmetric blocks, the kept SVDs are its eigendecomposition.
+    :func:`wrearr.weighted.weighted_rearrangement`); the last two keep the
+    norm atoms of routes A and B.  On a positive operator with exactly
+    symmetric blocks, the kept SVDs are its eigendecomposition.
     """
 
     __slots__ = ("algebra", "blocks", "step", "_sv_cache", "_svf", "_rearranged")
@@ -364,7 +365,7 @@ def singular_value_function(a):
 
     Each singular value occupies an interval whose length is the trace weight
     of its block; the intervals are laid out in decreasing value order.  For
-    multipliers this is the decreasing rearrangement of |payload|.
+    multipliers this is the decreasing rearrangement of |payload|, one sort.
 
     Built once per operator: the result is kept on ``a`` and returned by
     every later call.
@@ -375,15 +376,12 @@ def singular_value_function(a):
 
 
 def _singular_value_function(a):
-    if not a.is_matrix:
-        return rearrange(a.step.absolute(), LEBESGUE)
-    values = []
-    widths = []
-    for (svs, _), lam in zip(a._block_svd(), a.algebra.trace_weights):
-        values.append(svs)
-        widths.append(np.full(svs.size, lam))
-    values = np.concatenate(values)
-    widths = np.concatenate(widths)
+    if a.is_matrix:
+        values = np.concatenate([s for s, _ in a._block_svd()])
+        widths = a.algebra.coordinate_weights()
+    else:
+        values = np.abs(a.step.values)
+        widths = np.diff(a.step.breakpoints)
     order = np.argsort(-values, kind="stable")
     return StepFunction._raw(
         np.concatenate([[0.0], np.cumsum(widths[order])]), values[order]
@@ -437,7 +435,8 @@ def apply_function(psi, a):
         mapped = np.asarray(psi(s), dtype=float)
         if np.any(np.isinf(mapped)):
             raise InfiniteValueError("function is infinite on the spectrum")
-        blocks.append((v * mapped) @ v.T)
+        h = (v * mapped) @ v.T
+        blocks.append(0.5 * (h + h.T))  # exactly symmetric: the image's SVD is kept
     return Operator(a.algebra, blocks=blocks)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import singular_value_function
 from .errors import NormOverflowError, ParseError, ValidationError
-from .stepfn import LEBESGUE, _piece_masses, ess_sup, integrate
+from .stepfn import LEBESGUE, _piece_masses, integrate
 from .weighted import weighted_rearrangement
 
 __all__ = [
@@ -218,10 +218,16 @@ def modular(psi, f, m):
 
 def _atoms(f, m):
     """The levels of ``|f|`` on its pieces of positive ``m``-mass, and those
-    masses.  A modular of any scaling of ``f`` depends on nothing else."""
-    masses = _piece_masses(f, m)
-    live = masses > 0
-    return np.abs(f.values[live]), masses[live]
+    masses.  A modular of any scaling of ``f`` depends on nothing else.  They
+    are kept on ``f``, read-only, for the last measure object asked for."""
+    if f._atoms is None or f._atoms[0] is not m:
+        masses = _piece_masses(f, m)
+        live = masses > 0
+        levels, masses = np.abs(f.values[live]), masses[live]
+        levels.setflags(write=False)
+        masses.setflags(write=False)
+        f._atoms = (m, levels, masses)
+    return f._atoms[1:]
 
 
 def _atom_modular(psi, levels, masses, lam):
@@ -232,9 +238,10 @@ def _atom_modular(psi, levels, masses, lam):
 def luxemburg_norm(psi, f, m):
     """Luxemburg norm: the least scale ``lam`` with modular(f / lam) <= 1.
 
-    The atoms of ``f`` under ``m`` are taken once; the modular at each scale
-    is a dot product over them.  ``psi.atom_norm`` gives the norm in closed
-    form when set.  Otherwise the bracket grows or shrinks by factors of 2 from
+    The atoms of ``f`` under ``m`` are kept on ``f``, so every norm and
+    membership of ``f`` under ``m`` reads them; the modular at each scale is a
+    dot product over them.  ``psi.atom_norm`` gives the norm in closed form
+    when set.  Otherwise the bracket grows or shrinks by factors of 2 from
     the largest live level of ``|f|`` until the modular crosses 1; Illinois
     steps (regula falsi) on log(modular) against ``1 / lam``, or midpoint
     steps while an end's modular is 0 or ``inf``, narrow it to a relative
@@ -333,7 +340,7 @@ def _has_finite_modular(psi, f, m):
     level below ``psi.finite_threshold``) and that threshold is positive or
     ``f`` vanishes almost everywhere.
     """
-    sup_ess = ess_sup(f, m)
+    sup_ess = float(_atoms(f, m)[0].max(initial=0.0))
     return math.isfinite(sup_ess) and (psi.finite_threshold > 0 or sup_ess == 0.0)
 
 

@@ -4,7 +4,8 @@ The whole calculus runs on one representation: a right-continuous step
 function that vanishes beyond its last breakpoint.  Distribution functions,
 decreasing rearrangements, weight densities and Orlicz modulars are all
 of this form, so integration and rearrangement reduce to finite sums over
-breakpoint refinements and stay exact in double precision.
+breakpoint refinements.  The sums are rounded: under a weight a piece's mass
+is a difference of cumulative masses, which cancels on small far pieces.
 
 ``+inf`` is a first-class value; products follow the measure-theoretic
 convention ``0 * inf = 0``.
@@ -80,10 +81,11 @@ class StepFunction:
         signed multipliers; the rearrangement operations reject them.
 
     Instances are immutable and always stored in canonical form: adjacent
-    equal values merged, trailing zeros removed.
+    equal values merged, trailing zeros removed.  The norms keep the atoms
+    of an instance under the last measure asked for on it.
     """
 
-    __slots__ = ("breakpoints", "values")
+    __slots__ = ("breakpoints", "values", "_atoms")
 
     def __init__(self, breakpoints, values):
         bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
@@ -99,6 +101,7 @@ class StepFunction:
         if np.any(np.isnan(va)) or np.any(va == -math.inf):
             raise ValidationError("values must be real or +inf")
         self.breakpoints, self.values = _assemble(bp, va)
+        self._atoms = None  # (measure, levels, masses), kept by the norms
 
     @classmethod
     def _raw(cls, breakpoints, values):
@@ -106,6 +109,7 @@ class StepFunction:
         # otherwise trusted
         obj = object.__new__(cls)
         obj.breakpoints, obj.values = _assemble(breakpoints, values)
+        obj._atoms = None
         return obj
 
     @classmethod

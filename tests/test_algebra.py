@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wrearr.algebra as algebra_mod
 from wrearr import (
@@ -24,6 +26,7 @@ from wrearr import (
     norm_route_b,
     partial_isometry_conjugates,
     power,
+    rearrange,
     singular_value_function,
     spectral_projection,
     step_equal,
@@ -163,6 +166,25 @@ class TestSingularValueFunction:
         interval = Algebra.commutative(3.0)
         a = Operator.multiplier(interval, StepFunction([0, 1, 2, 3], [1.0, -3.0, 2.0]))
         assert singular_value_function(a) == StepFunction([0, 1, 2, 3], [3.0, 2.0, 1.0])
+
+    @given(
+        pieces=st.lists(
+            st.tuples(st.floats(0.01, 4.0), st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.booleans()),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_commutative_is_rearrangement_of_abs_with_ties_and_zeros(self, pieces):
+        widths, levels, negative = zip(*pieces)
+        bp = np.concatenate([[0.0], np.cumsum(widths)])
+        f = StepFunction(bp, np.where(negative, -np.asarray(levels), levels))
+        mu = singular_value_function(Operator.multiplier(Algebra.commutative(bp[-1]), f))
+        expected = rearrange(f.absolute(), LEBESGUE)
+        # tied levels may add their widths in another order, so the
+        # breakpoints agree to rounding
+        assert np.array_equal(mu.values, expected.values)
+        assert np.allclose(mu.breakpoints, expected.breakpoints, rtol=1e-14, atol=0.0)
 
 
 class TestSpectralProjection:
@@ -406,6 +428,16 @@ class TestSolverCounts:
             apply_function(psi, pos)
         spectral_projection(pos, 0.5 * pos.norm())
         singular_value_function(pos)
+        assert calls["svd"] == 4
+
+    def test_projections_of_an_image_share_one_svd(self, calls):
+        pos = absolute(random_operator(rng_from_seed(13), Algebra.matrix_blocks([4, 5], [1.0, 2.0])))
+        calls["svd"] = 0
+        image = apply_function(power(2), pos)
+        assert calls["svd"] == 2  # one SVD of pos per block
+        for fraction in (0.1, 0.5, 0.9):
+            spectral_projection(image, fraction * image.norm())
+        # the image's blocks are exactly symmetric, so its own SVD is solved once
         assert calls["svd"] == 4
 
     def test_absolute_reuses_cached_svd(self, calls):

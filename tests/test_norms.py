@@ -560,6 +560,15 @@ class TestMembership:
                 spec = NormSpec.orlicz(psi)
                 assert membership_route_a(ctx, spec, a) == membership_route_b(ctx, spec, a)
 
+    @pytest.mark.parametrize("psi", ALL_PSIS, ids=lambda p: p.name)
+    def test_infinite_only_on_a_null_piece_is_a_member(self, psi):
+        # inf sits on [1, 2), where the density vanishes, so no atom carries it
+        m = Measure(StepFunction([0, 1, 2, 3], [1.0, 0.0, 1.0]))
+        f = StepFunction([0, 1, 2, 3], [1.0, math.inf, 2.0])
+        assert norms._has_finite_modular(psi, f, m)
+        assert math.isfinite(luxemburg_norm(psi, f, m))
+        assert norms._has_finite_modular(psi, f, m)  # now from the kept atoms
+
     def test_capped_member_with_levels_past_the_threshold(self):
         # 1e10 > 2^30: every capped modular of a scaling by 2^-30 .. 2^30 is
         # infinite, yet a larger scale makes it finite

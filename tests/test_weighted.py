@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wrearr.algebra as algebra_mod
+import wrearr.norms as norms_mod
 import wrearr.weighted as weighted_mod
 from wrearr import formats
 from wrearr import (
@@ -296,9 +297,18 @@ def _all_routes(ctx, spec, a):
 
 class TestSpectralMemo:
     """The singular value function and the weighted rearrangement are built
-    once per operator (and weight), and the memo changes no value."""
+    once per operator (and weight), each route's norm atoms once per function
+    and measure, and the memos change no value."""
 
-    def test_norm_and_membership_routes_rearrange_twice(self, monkeypatch):
+    @staticmethod
+    def _orlicz_request(rng):
+        """A multiplier with 200 pieces on [0, 10) under a random step weight."""
+        interval = Algebra.commutative(10.0)
+        bp = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, 199)), [10.0]])
+        a = Operator.multiplier(interval, StepFunction(bp, rng.uniform(-2.0, 2.0, 200)))
+        return WeightedContext(interval, random_step_weight(rng)), a
+
+    def test_norm_and_membership_routes_rearrange_once(self, monkeypatch):
         original = weighted_mod.rearrange
         calls = []
 
@@ -306,18 +316,32 @@ class TestSpectralMemo:
             calls.append(m)
             return original(f, m)
 
-        monkeypatch.setattr(algebra_mod, "rearrange", counting)
+        # the singular value function must not rearrange: a counter in algebra catches one
+        monkeypatch.setattr(algebra_mod, "rearrange", counting, raising=False)
         monkeypatch.setattr(weighted_mod, "rearrange", counting)
-        rng = rng_from_seed(31)
-        interval = Algebra.commutative(10.0)
-        bp = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, 199)), [10.0]])
-        a = Operator.multiplier(interval, StepFunction(bp, rng.uniform(-2.0, 2.0, 200)))
-        ctx = WeightedContext(interval, random_step_weight(rng))
+        ctx, a = self._orlicz_request(rng_from_seed(31))
         for text in ORLICZ_REQUEST_NORMS:
             _all_routes(ctx, NormSpec.parse(text), a)
-        # one singular value function (Lebesgue) and one weighted rearrangement
-        assert len(calls) == 2
-        assert calls[0] is LEBESGUE and calls[1] is ctx.weight
+        # one weighted rearrangement serves every route B call
+        assert calls == [ctx.weight]
+
+    def test_each_route_takes_its_atoms_once(self, monkeypatch):
+        original = norms_mod._piece_masses
+        calls = []
+
+        def counting(f, m):
+            calls.append(m)
+            return original(f, m)
+
+        monkeypatch.setattr(norms_mod, "_piece_masses", counting)
+        ctx, a = self._orlicz_request(rng_from_seed(33))
+        for text in ORLICZ_REQUEST_NORMS:
+            _all_routes(ctx, NormSpec.parse(text), a)
+        assert calls == [ctx.weight, LEBESGUE]
+        # route A's atoms sit on the singular value function under the weight,
+        # route B's on the weighted rearrangement under Lebesgue measure
+        assert singular_value_function(a)._atoms[0] is ctx.weight
+        assert weighted_rearrangement(ctx, a)._atoms[0] is LEBESGUE
 
     @pytest.mark.parametrize("kind", ["matrix", "steps"])
     def test_interleaved_weights_match_fresh_operators(self, kind):
@@ -334,8 +358,13 @@ class TestSpectralMemo:
         for text in ORLICZ_REQUEST_NORMS:
             spec = NormSpec.parse(text)
             for ctx in contexts + contexts[::-1]:
+                # norms and memberships on both routes, read from kept atoms
+                # on a, and from atoms taken afresh
                 assert _all_routes(ctx, spec, a) == _all_routes(ctx, spec, fresh())
                 assert weighted_rearrangement(ctx, a) == weighted_rearrangement(ctx, fresh())
+                # switching the weight object rebuilt route A's atoms
+                assert singular_value_function(a)._atoms[0] is ctx.weight
+                assert weighted_rearrangement(ctx, a)._atoms[0] is LEBESGUE
         assert singular_value_function(a) == singular_value_function(fresh())
 
     def test_cross_check_runs_on_a_memoized_operator(self, monkeypatch):
