@@ -15,6 +15,11 @@ product is small relative to the geometric mean of their squared norms
 the result for ``2^k a`` is the result for ``a`` times ``2^k`` while no entry
 is subnormal.  The relative threshold is ``OFF_DIAGONAL_TOL`` and the sweep
 cap ``MAX_SWEEPS``.
+
+Row k of the work array ``[b^T | I]`` holds column k of ``b`` and then of
+``v``, so a pair is one gather, one 2x2 Gram matrix and one 2x2 rotation.  A
+pair with a squared norm below ``_TINY``, and the final norms, use the rows
+divided by their own powers of two; a column that is all subnormal raises.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .errors import EigenSolverError
 
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
+_TINY = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _prescaled(matrix, block_index):
@@ -40,19 +46,23 @@ def _prescaled(matrix, block_index):
     return np.ldexp(a, -e), e
 
 
-def _rotation(app, aqq, apq):
-    """``(c, s)`` of the rotation that annihilates ``apq`` between ``app`` and ``aqq``."""
-    zeta = (aqq - app) / (2.0 * apq)
-    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta)) if zeta != 0 else 1.0
+def _scaled_gram(rows):
+    """``(g, r)``: the Gram matrix of ``rows / 2^r``, each row's largest entry in [1/2, 1)."""
+    r = np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]
+    x = np.ldexp(rows, -r[:, None])
+    return x @ x.T, r
+
+
+def _rotation(app, aqq, apq, d):
+    """``(c, s)`` of the rotation that annihilates ``apq`` between ``app`` and
+    ``aqq``, the Gram entries of rows p and q after they were divided by
+    ``2^(r + d)`` and ``2^r``; found without forming ``4^d``."""
+    k = abs(d)
+    zeta = (math.ldexp(aqq, -d - k) - math.ldexp(app, d - k)) / (2.0 * apq)
+    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(math.ldexp(1.0, -k), zeta))
+    t = math.ldexp(t, -k) if zeta != 0 else 1.0
     c = 1.0 / math.hypot(1.0, t)
     return c, t * c
-
-
-def _rotate(m, p, q, c, s):
-    """Replace columns p and q of ``m`` by ``c m_p - s m_q`` and ``s m_p + c m_q``."""
-    col_p = m[:, p].copy()
-    m[:, p] = c * col_p - s * m[:, q]
-    m[:, q] = s * col_p + c * m[:, q]
 
 
 def _unconverged(block_index, sweeps, g):
@@ -76,26 +86,31 @@ def one_sided_svd(matrix, block_index=0):
     """
     b, e = _prescaled(matrix, block_index)
     n = b.shape[0]
-    v = np.eye(n)
+    w = np.concatenate((b.T, np.eye(n)), axis=1)
+    live = np.flatnonzero(b.any(axis=0)).tolist()  # a zero column never rotates
     for _ in range(MAX_SWEEPS):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                gamma = float(b[:, p] @ b[:, q])
-                if gamma == 0.0:
+        for i, p in enumerate(live):
+            for q in live[i + 1:]:
+                rows = w[[p, q]]
+                (alpha, gamma), (_, beta) = (rows[:, :n] @ rows[:, :n].T).tolist()
+                d = 0
+                if alpha < _TINY or beta < _TINY:
+                    g, (rp, rq) = _scaled_gram(rows[:, :n])
+                    if min(rp, rq) <= np.finfo(float).minexp:
+                        raise EigenSolverError(block_index, "a column is all subnormal after scaling")
+                    (alpha, gamma), (_, beta) = g.tolist()
+                    d = int(rp - rq)
+                if gamma == 0.0 or abs(gamma) <= OFF_DIAGONAL_TOL * math.sqrt(alpha) * math.sqrt(beta):
                     continue
-                alpha = float(b[:, p] @ b[:, p])
-                beta = float(b[:, q] @ b[:, q])
-                if abs(gamma) <= OFF_DIAGONAL_TOL * math.sqrt(alpha) * math.sqrt(beta):
-                    continue
-                c, s = _rotation(alpha, beta, gamma)
-                _rotate(b, p, q, c, s)
-                _rotate(v, p, q, c, s)
+                c, s = _rotation(alpha, beta, gamma, d)
+                w[[p, q]] = np.array([[c, -s], [s, c]]) @ rows
                 rotated = True
         if not rotated:
             break
     else:
-        raise _unconverged(block_index, MAX_SWEEPS, b.T @ b)
-    sv = np.ldexp(np.linalg.norm(b, axis=0), e)
+        raise _unconverged(block_index, MAX_SWEEPS, _scaled_gram(w[:, :n])[0])
+    g, r = _scaled_gram(w[:, :n])
+    sv = np.ldexp(np.sqrt(g.diagonal()), e + r)
     order = np.argsort(-sv, kind="stable")
-    return sv[order], v[:, order]
+    return sv[order], w[order, n:].T

@@ -61,11 +61,12 @@ SCALE_EXPONENTS = [-1000, -530, -43, 0, 255, 498, 530, 1000]
 def test_solvers_are_scale_equivariant(k):
     # prescaling by a power of two is exact and the stopping rule is relative,
     # so results for 2^k a are exactly those for a times 2^k
-    a = np.random.default_rng(6).uniform(-1, 1, (6, 6))
-    s, v = one_sided_svd(a)
-    s_k, v_k = one_sided_svd(np.ldexp(a, k))
-    np.testing.assert_array_equal(s_k, np.ldexp(s, k))
-    np.testing.assert_array_equal(v_k, v)
+    for n in (1, 6, 17):
+        a = np.random.default_rng(6).uniform(-1, 1, (n, n))
+        s, v = one_sided_svd(a)
+        s_k, v_k = one_sided_svd(np.ldexp(a, k))
+        np.testing.assert_array_equal(s_k, np.ldexp(s, k), err_msg=f"n={n}")
+        np.testing.assert_array_equal(v_k, v, err_msg=f"n={n}")
 
 
 def _characteristic_polynomial(a):
@@ -92,21 +93,41 @@ def _evaluate(coeffs, x):
     return value
 
 
+GRADED_COLUMN_SCALES = [
+    [1e-12, 1.0, 1e-30, 1e-6, 1e-24, 1e-18],
+    # squared column norms below the smallest normal float
+    [1.0, 1e-20, 1e-160],
+    [1.0, 1e-20, 1e-170],
+    [1e-60, 1.0, 1e-300, 1e-120, 1e-240, 1e-180],
+]
+
+
 def test_one_sided_svd_keeps_relative_accuracy_on_a_graded_block():
-    # columns scaled by 1 .. 1e-30 in permuted order: Jacobi keeps every
-    # singular value to high relative accuracy (Demmel and Veselic 1992),
-    # where LAPACK's error is relative to the largest one only
-    c = np.random.default_rng(22).uniform(-1, 1, (6, 6))
-    scales = np.array([1e-12, 1.0, 1e-30, 1e-6, 1e-24, 1e-18])
-    b = c * scales
-    exact = [[Fraction(float(x)) for x in row] for row in b]
-    gram = [[sum(exact[k][i] * exact[k][j] for k in range(6)) for j in range(6)] for i in range(6)]
-    coeffs = _characteristic_polynomial(gram)
-    s, _ = one_sided_svd(b)
+    # columns scaled in permuted order: Jacobi keeps every singular value to
+    # high relative accuracy (Demmel and Veselic 1992), where LAPACK's error
+    # is relative to the largest one only
     tol = Fraction(1, 10**13)
-    for sigma in s:
-        square = Fraction(float(sigma)) ** 2
-        below = _evaluate(coeffs, square * (1 - tol))
-        above = _evaluate(coeffs, square * (1 + tol))
-        # an eigenvalue of b^T b, a squared singular value, lies in between
-        assert below * above <= 0, f"no eigenvalue of b^T b within 1e-13 of {sigma:.6e}^2"
+    for scales in GRADED_COLUMN_SCALES:
+        n = len(scales)
+        b = np.random.default_rng(22).uniform(-1, 1, (n, n)) * scales
+        exact = [[Fraction(float(x)) for x in row] for row in b]
+        gram = [[sum(exact[k][i] * exact[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        coeffs = _characteristic_polynomial(gram)
+        for sigma in one_sided_svd(b)[0]:
+            square = Fraction(float(sigma)) ** 2
+            below = _evaluate(coeffs, square * (1 - tol))
+            above = _evaluate(coeffs, square * (1 + tol))
+            # an eigenvalue of b^T b, a squared singular value, lies in between
+            assert below * above <= 0, f"no eigenvalue of b^T b within 1e-13 of {sigma:.6e}^2"
+
+
+def test_one_sided_svd_rejects_a_column_below_the_float_range_at_once():
+    # a column whose entries are all subnormal once the largest entry is in
+    # [1/2, 1) cannot keep its digits under rotation: a typed error on its
+    # first pair, not a wrong value or 100 sweeps
+    c = np.random.default_rng(22).uniform(-1, 1, (3, 3))
+    for scales in ([1.0, 1e-20, 1e-315], [1e300, 1e-10, 1.0]):
+        with pytest.raises(EigenSolverError) as err:
+            one_sided_svd(c * scales, block_index=2)
+        assert err.value.block_index == 2 and err.value.sweeps is None
+        assert "subnormal" in str(err.value)

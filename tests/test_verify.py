@@ -115,22 +115,22 @@ GOLDEN_SUITE_42_3 = (
     "pass  step-rearrangement-equimeasurable                trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
     "pass  step-distribution-at-rearrangement-bounded       trials=3  failures=0  worst=0.000e+00  tol=1.0e-12\n"
     "pass  step-rearrangement-preserves-integral            trials=3  failures=0  worst=1.386e-16  tol=1.0e-10\n"
-    "pass  singular-values-of-abs-and-adjoint-agree         trials=3  failures=0  worst=3.553e-15  tol=1.0e-10\n"
+    "pass  singular-values-of-abs-and-adjoint-agree         trials=3  failures=0  worst=2.220e-15  tol=1.0e-10\n"
     "pass  singular-values-homogeneous                      trials=3  failures=0  worst=1.110e-16  tol=1.0e-10\n"
     "pass  singular-value-distribution-counts-spectrum      trials=3  failures=0  worst=1.776e-15  tol=1.0e-10\n"
     "pass  support-projection-trace                         trials=3  failures=0  worst=1.776e-15  tol=1.0e-10\n"
-    "pass  functional-calculus-preserves-level-sets         trials=3  failures=0  worst=3.608e-16  tol=1.0e-10\n"
+    "pass  functional-calculus-preserves-level-sets         trials=3  failures=0  worst=7.772e-16  tol=1.0e-10\n"
     "pass  oracle-matches-weighted-rearrangement            trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
     "pass  rearrangement-integral-equals-weighted-trace     trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
     "pass  weighted-trace-subadditive                       trials=3  failures=0  worst=0.000e+00  tol=1.0e-09\n"
-    "pass  weighted-trace-homogeneous                       trials=3  failures=0  worst=2.463e-17  tol=1.0e-09\n"
+    "pass  weighted-trace-homogeneous                       trials=3  failures=0  worst=2.410e-16  tol=1.0e-09\n"
     "pass  weighted-trace-adjoint-product-symmetric         trials=3  failures=0  worst=6.710e-16  tol=1.0e-09\n"
     "pass  weighted-trace-faithful                          trials=3  failures=0  worst=0.000e+00  tol=0.0e+00\n"
-    "pass  weighted-trace-normal-on-monotone-sequences      trials=3  failures=0  worst=1.980e-16  tol=1.0e-09\n"
-    "pass  equivalent-projections-share-weighted-trace      trials=3  failures=0  worst=2.220e-16  tol=1.0e-09\n"
+    "pass  weighted-trace-normal-on-monotone-sequences      trials=3  failures=0  worst=2.633e-16  tol=1.0e-09\n"
+    "pass  equivalent-projections-share-weighted-trace      trials=3  failures=0  worst=0.000e+00  tol=1.0e-09\n"
     "pass  orthogonal-projections-trace-inequality          trials=3  failures=0  worst=0.000e+00  tol=1.0e-12\n"
-    "pass  weighted-rearrangement-of-abs-and-adjoint-agree  trials=3  failures=0  worst=6.661e-16  tol=1.0e-10\n"
-    "pass  weighted-rearrangement-homogeneous               trials=3  failures=0  worst=1.110e-16  tol=1.0e-10\n"
+    "pass  weighted-rearrangement-of-abs-and-adjoint-agree  trials=3  failures=0  worst=4.441e-16  tol=1.0e-10\n"
+    "pass  weighted-rearrangement-homogeneous               trials=3  failures=0  worst=8.327e-17  tol=1.0e-10\n"
     "pass  weighted-rearrangement-sum-shift-inequality      trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
     "pass  weighted-rearrangement-product-shift-inequality  trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
     "pass  weighted-rearrangement-shape                     trials=3  failures=0  worst=0.000e+00  tol=0.0e+00\n"
@@ -140,9 +140,9 @@ GOLDEN_SUITE_42_3 = (
     "pass  orlicz-norm-routes-agree                         trials=3  failures=0  worst=0.000e+00  tol=1.0e-08\n"
     "pass  lp-norm-routes-agree                             trials=3  failures=0  worst=0.000e+00  tol=1.0e-08\n"
     "pass  membership-routes-agree                          trials=3  failures=0  worst=0.000e+00  tol=0.0e+00\n"
-    "pass  functional-calculus-commutes-with-rearrangement  trials=3  failures=0  worst=9.992e-16  tol=1.0e-10\n"
-    "pass  rearrangement-norm-axioms                        trials=3  failures=0  worst=3.893e-16  tol=1.0e-09\n"
-    "pass  lp-norm-matches-quadrature                       trials=3  failures=0  worst=9.080e-17  tol=1.0e-10\n"
+    "pass  functional-calculus-commutes-with-rearrangement  trials=3  failures=0  worst=1.332e-15  tol=1.0e-10\n"
+    "pass  rearrangement-norm-axioms                        trials=3  failures=0  worst=1.946e-16  tol=1.0e-09\n"
+    "pass  lp-norm-matches-quadrature                       trials=3  failures=0  worst=1.433e-16  tol=1.0e-10\n"
     "pass  conjugation-invariance                           trials=3  failures=0  worst=1.110e-15  tol=1.0e-09\n"
     "pass  exponential-weight-reference-values              trials=1  failures=0  worst=0.000e+00  tol=1.0e-12\n"
     "34 properties, 0 failing trial(s)"
