@@ -17,6 +17,7 @@ from wrearr import (
     WeightedContext,
     generalized_inverse,
     singular_value_function,
+    step_equal,
     weighted_distribution,
     weighted_rearrangement,
     weighted_rearrangement_oracle,
@@ -37,8 +38,7 @@ d = weighted_distribution(ctx, a)
 print("weighted distribution: ", d)
 print("generalized inverse:   ", generalized_inverse(d))
 
-# Passing cross_check=True makes the library compute both and compare.
-weighted_rearrangement(ctx, a, cross_check=True)
+print("routes 1 and 2 agree:  ", step_equal(mu, generalized_inverse(d)))
 
 # Route 3, the ground truth: enumerate all coordinate-subset projections.
 # Dropping one coordinate costs cumulative weight 2, so below t = 2 the top
@@ -57,11 +57,16 @@ print("weighted:  ", mu)
 wide = Algebra.matrix_blocks([4], [1.0])
 wctx = WeightedContext(wide, weight)
 b = Operator.from_diagonal(wide, [4.0, 3.0, 2.0, 1.0])
-print("\nfour singular values, weight mass 4:",
-      weighted_rearrangement(wctx, b, cross_check=True))
+mu_b = weighted_rearrangement(wctx, b)
+print("\nfour singular values, weight mass 4:", mu_b)
+print("routes 1 and 2 agree:",
+      step_equal(mu_b, generalized_inverse(weighted_distribution(wctx, b))))
 
 # The rearrangement of a full matrix goes through its singular values.
 rng = np.random.default_rng(0)
 g = rng.uniform(-1, 1, size=(3, 3))
 full = Operator(blocks, blocks=[g])
-print("\nrandom 3x3 block:", weighted_rearrangement(ctx, full, cross_check=True))
+mu_full = weighted_rearrangement(ctx, full)
+print("\nrandom 3x3 block:", mu_full)
+print("routes 1 and 2 agree:",
+      step_equal(mu_full, generalized_inverse(weighted_distribution(ctx, full))))

@@ -48,6 +48,10 @@ class Algebra:
 
     def __init__(self, kind, block_sizes=None, trace_weights=None, domain_bound=None):
         if kind == "matrix":
+            if not all(
+                isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in block_sizes
+            ):
+                raise ValidationError("block sizes must be integers")
             sizes = tuple(int(n) for n in block_sizes)
             weights = tuple(float(w) for w in trace_weights)
             if len(sizes) != len(weights) or not sizes:

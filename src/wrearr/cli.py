@@ -25,7 +25,7 @@ from .algebra import MAX_BLOCK_SIZE, Algebra, singular_value_function
 from .errors import ParseError, WrearrError
 from .norms import NormSpec, norm_route_a, norm_route_b
 from .verify import format_report, run_suite
-from .weighted import StepWeight, WeightedContext, weighted_rearrangement, weighted_trace
+from .weighted import WeightedContext, weighted_rearrangement, weighted_trace
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -147,8 +147,7 @@ def _cmd_gen(args):
     if args.kind == "weight":
         if not 1 <= size <= MAX_WEIGHT_STEPS:
             raise ParseError(f"weight size must be in 1..{MAX_WEIGHT_STEPS}")
-        density = generate.random_step_weight(rng, max_pieces=size).density
-        obj = formats.weight_to_obj(StepWeight(density))
+        obj = formats.weight_to_obj(generate.random_step_weight(rng, max_pieces=size))
     else:
         if not 1 <= size <= MAX_BLOCK_SIZE:
             raise ParseError(f"size must be in 1..{MAX_BLOCK_SIZE}")
@@ -159,13 +158,7 @@ def _cmd_gen(args):
             algebra = Algebra.matrix_blocks([size], [float(rng.uniform(0.25, 2.0))])
             operator = generate.random_partial_isometry(rng, algebra)
         else:  # block
-            sizes = []
-            remaining = size
-            while remaining > 0:
-                n = int(rng.integers(1, remaining + 1))
-                sizes.append(n)
-                remaining -= n
-            algebra = Algebra.matrix_blocks(sizes, rng.uniform(0.25, 2.0, size=len(sizes)))
+            algebra = generate.random_block_algebra(rng, size)
             operator = generate.random_operator(rng, algebra)
         obj = formats.operator_to_obj(operator)
     with open(args.out, "w", encoding="utf-8") as fh:

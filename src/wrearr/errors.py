@@ -35,7 +35,3 @@ class InfiniteValueError(WrearrError):
 
 class NormOverflowError(WrearrError):
     """A finite norm exceeds the largest float (CLI exit code 3)."""
-
-
-class CrossRouteError(WrearrError):
-    """Two supposedly equivalent computation routes disagreed."""

@@ -20,6 +20,7 @@ __all__ = [
     "random_matrix_algebra",
     "random_operator",
     "random_positive_operator",
+    "random_block_algebra",
     "random_diagonal_algebra",
     "random_diagonal_operator",
     "random_partial_isometry",
@@ -89,16 +90,19 @@ def random_positive_operator(rng, algebra):
     return Operator(algebra, step=op.step.absolute())
 
 
-def random_diagonal_algebra(rng, max_dim=8):
-    """Small all-diagonal-friendly algebra: a few blocks with random weights."""
-    total = int(rng.integers(1, max_dim + 1))
+def random_block_algebra(rng, total):
+    """Blocks of random sizes adding up to ``total``, each with a random weight."""
     sizes = []
     while total > 0:
         n = int(rng.integers(1, total + 1))
         sizes.append(n)
         total -= n
-    weights = rng.uniform(0.25, 2.0, size=len(sizes))
-    return Algebra.matrix_blocks(sizes, weights)
+    return Algebra.matrix_blocks(sizes, rng.uniform(0.25, 2.0, size=len(sizes)))
+
+
+def random_diagonal_algebra(rng, max_dim=8):
+    """Small all-diagonal-friendly algebra: a few blocks with random weights."""
+    return random_block_algebra(rng, int(rng.integers(1, max_dim + 1)))
 
 
 def random_diagonal_operator(rng, algebra):

@@ -4,29 +4,25 @@ A weight is the measure its decreasing density ``mu(x)`` defines: a
 :class:`~wrearr.stepfn.Measure`, passed wherever a measure is expected.  The
 weighted functional integrates singular value functions against it, and the
 weighted rearrangement is the decreasing rearrangement with respect to it.
-Two independent routes to
-the weighted rearrangement are provided, plus the exhaustive projection
-search that serves as ground truth for diagonal operators.
+The weighted distribution gives a second route to it, its generalized
+inverse, and the exhaustive projection search a ground truth for diagonal
+operators; ``wrearr verify`` compares the three.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .algebra import singular_value_function
-from .errors import CrossRouteError, ValidationError
+from .errors import ValidationError
 from .stepfn import (
     EXPONENTIAL_DENSITY,
     LEBESGUE,
     Measure,
     StepFunction,
     distribution,
-    generalized_inverse,
     integrate,
     rearrange,
-    step_equal,
 )
 
 __all__ = [
@@ -38,28 +34,9 @@ __all__ = [
     "weighted_distribution",
     "weighted_rearrangement",
     "weighted_rearrangement_oracle",
-    "cross_route_tolerance",
 ]
 
-TOLERANCE_ENV_VAR = "WREARR_TOLERANCE"
-DEFAULT_CROSS_ROUTE_TOLERANCE = 1e-10
-
 ORACLE_DIMENSION_CAP = 20
-
-
-def cross_route_tolerance():
-    """Tolerance for cross-route equality checks; overridable via the
-    WREARR_TOLERANCE environment variable."""
-    raw = os.environ.get(TOLERANCE_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CROSS_ROUTE_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{TOLERANCE_ENV_VAR} must be a float, got {raw!r}") from exc
-    if not value > 0:
-        raise ValidationError(f"{TOLERANCE_ENV_VAR} must be positive")
-    return value
 
 
 class Weight(Measure):
@@ -163,30 +140,20 @@ def weighted_distribution(ctx, a):
     return plain.map_values(ctx.weight.cumulative)
 
 
-def weighted_rearrangement(ctx, a, cross_check=False):
+def weighted_rearrangement(ctx, a):
     """Weighted decreasing rearrangement of ``a``.
 
     Computed as the decreasing rearrangement of the singular value function
     with respect to the weight's measure.  The result is kept on ``a``, keyed
     on the identity of ``ctx.weight``: a later call with the same weight
     object returns it, and a call with another weight rebuilds it and keeps
-    that one instead.  With ``cross_check`` the result is also derived, on
-    every call, as the generalized inverse of the weighted distribution and
-    the two routes are required to agree.
+    that one instead.
     """
     _check_member(ctx, a)
     weight = ctx.weight
     if a._rearranged is None or a._rearranged[0] is not weight:
         a._rearranged = (weight, rearrange(singular_value_function(a), weight))
-    result = a._rearranged[1]
-    if cross_check:
-        other = generalized_inverse(weighted_distribution(ctx, a))
-        if not step_equal(result, other, cross_route_tolerance(), 1e-12):
-            raise CrossRouteError(
-                "rearrangement routes disagree: "
-                f"direct {result!r} vs inverse-distribution {other!r}"
-            )
-    return result
+    return a._rearranged[1]
 
 
 def weighted_rearrangement_oracle(ctx, a, t):

@@ -69,6 +69,11 @@ class TestAlgebraValidation:
             Algebra.matrix_blocks([64] * 9, [1.0] * 9)
         Algebra.matrix_blocks([64] * 8, [1.0] * 8)
 
+    @pytest.mark.parametrize("size", [2.5, np.float64(2.7), "3", True, np.bool_(True)])
+    def test_block_sizes_must_be_integers(self, size):
+        with pytest.raises(ValidationError, match="integers"):
+            Algebra.matrix_blocks([size], [1.0])
+
     def test_weights_positive(self):
         with pytest.raises(ValidationError):
             Algebra.matrix_blocks([2], [0.0])

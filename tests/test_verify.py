@@ -97,6 +97,62 @@ def test_cli_verify_reports_failure_with_counterexample(monkeypatch, capsys):
     assert payload["worst_residual"] == 1.0
 
 
+ROUTE_ROWS = ("oracle-matches-weighted-rearrangement", "weighted-rearrangement-shape")
+
+
+def _plant_scaled_inverse(monkeypatch, factor):
+    """Break the inverse-distribution route: its values come out times ``factor``."""
+    original = verify_mod.generalized_inverse
+
+    def scaled(d):
+        inv = original(d)
+        return StepFunction(inv.breakpoints, factor * inv.values)
+
+    monkeypatch.setattr(verify_mod, "generalized_inverse", scaled)
+
+
+def test_route_disagreement_fails_both_rows(monkeypatch):
+    _plant_scaled_inverse(monkeypatch, 1.5)
+    for name in ROUTE_ROWS:
+        result = run_property(name, 1, 3)
+        assert result.failures > 0
+        assert result.worst_residual == 1.0
+        assert result.counterexample is not None
+
+
+def test_cli_verify_reports_a_route_disagreement(monkeypatch, capsys):
+    _plant_scaled_inverse(monkeypatch, 1.5)
+    code = main(["verify", "--seed", "1", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    dumps = [
+        json.loads(line[len("counterexample ") :])
+        for line in captured.err.splitlines()
+        if line.startswith("counterexample ")
+    ]
+    assert {d["property"] for d in dumps} == set(ROUTE_ROWS)
+
+
+def test_route_disagreement_is_seen_on_a_tiny_total_trace(monkeypatch):
+    # every piece of both routes is narrower than the 1e-12 breakpoint tolerance
+    alg = Algebra.matrix_blocks([2], [1e-13])
+    ctx = WeightedContext(alg, StepWeight(StepFunction([0, 1, 3], [2.0, 1.0])))
+    a = Operator.from_diagonal(alg, [3.0, 1.0])
+    assert verify_mod._wr_shape((ctx, a)) == 0.0
+    _plant_scaled_inverse(monkeypatch, 5.0)
+    assert verify_mod._wr_shape((ctx, a)) == 1.0
+
+
+def test_route_disagreement_is_seen_on_a_memoized_operator(monkeypatch):
+    alg = Algebra.matrix_blocks([3], [1.0])
+    ctx = WeightedContext(alg, StepWeight(StepFunction([0, 1, 3], [2.0, 1.0])))
+    a = Operator.from_diagonal(alg, [3.0, 1.0, 2.0])
+    ts = np.array([0.5, 2.5])
+    assert verify_mod._oracle((ctx, a, ts)) == 0.0
+    _plant_scaled_inverse(monkeypatch, 1.5)
+    assert verify_mod._oracle((ctx, a, ts)) == 1.0
+
+
 def test_format_report_mentions_every_property():
     results = [
         PropertyResult("alpha", 3, 0, 1e-14, 1e-9),

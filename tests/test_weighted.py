@@ -9,7 +9,6 @@ import wrearr.weighted as weighted_mod
 from wrearr import formats
 from wrearr import (
     Algebra,
-    CrossRouteError,
     ExpWeight,
     Measure,
     NormSpec,
@@ -21,6 +20,7 @@ from wrearr import (
     WeightedContext,
     absolute,
     distribution,
+    generalized_inverse,
     integrate,
     LEBESGUE,
     membership_route_a,
@@ -201,16 +201,18 @@ class TestWeightedDistribution:
 
 class TestWeightedRearrangement:
     def test_worked_diagonal_example(self):
-        mu = weighted_rearrangement(CTX_312, DIAG_312, cross_check=True)
+        mu = weighted_rearrangement(CTX_312, DIAG_312)
         assert mu == StepFunction([0, 2, 3, 4], [3.0, 2.0, 1.0])
+        assert step_equal(mu, generalized_inverse(weighted_distribution(CTX_312, DIAG_312)))
 
     def test_scalar_operator_is_flat(self):
         alg = Algebra.matrix_blocks([2, 1], [0.5, 1.0])
         ctx = WeightedContext(alg, WEIGHT_21)
         a = 1.5 * Operator.identity(alg)
-        mu = weighted_rearrangement(ctx, a, cross_check=True)
+        mu = weighted_rearrangement(ctx, a)
         plateau = ctx.weight.cumulative(Operator.identity(alg).trace())
         assert mu == StepFunction([0.0, plateau], [1.5])
+        assert step_equal(mu, generalized_inverse(weighted_distribution(ctx, a)))
 
     def test_zero_operator(self):
         assert weighted_rearrangement(CTX_312, Operator.zero(M3)).is_zero()
@@ -220,32 +222,10 @@ class TestWeightedRearrangement:
         alg = Algebra.matrix_blocks([4], [1.0])
         ctx = WeightedContext(alg, WEIGHT_21)
         a = Operator.from_diagonal(alg, [4.0, 3.0, 2.0, 1.0])
-        mu = weighted_rearrangement(ctx, a, cross_check=True)
+        mu = weighted_rearrangement(ctx, a)
         assert mu == StepFunction([0, 2, 3, 4], [4.0, 3.0, 2.0])
         assert integrate(mu, LEBESGUE) == pytest.approx(weighted_trace(ctx, a), abs=1e-12)
-
-    def test_cross_check_raises_when_routes_disagree(self, monkeypatch):
-        import wrearr.weighted as wmod
-
-        monkeypatch.setattr(
-            wmod, "generalized_inverse", lambda d: StepFunction([0.0, 1.0], [99.0])
-        )
-        with pytest.raises(CrossRouteError):
-            weighted_rearrangement(CTX_312, DIAG_312, cross_check=True)
-
-    def test_cross_check_raises_on_a_tiny_total_trace(self, monkeypatch):
-        alg = Algebra.matrix_blocks([2], [1e-13])
-        ctx = WeightedContext(alg, WEIGHT_21)
-        a = Operator.from_diagonal(alg, [3.0, 1.0])
-        original = weighted_mod.generalized_inverse
-
-        def scaled(d):
-            inv = original(d)
-            return StepFunction(inv.breakpoints, 5.0 * inv.values)
-
-        monkeypatch.setattr(weighted_mod, "generalized_inverse", scaled)
-        with pytest.raises(CrossRouteError):
-            weighted_rearrangement(ctx, a, cross_check=True)
+        assert step_equal(mu, generalized_inverse(weighted_distribution(ctx, a)))
 
     def test_integral_identity_on_random_corpus(self):
         rng = rng_from_seed(6)
@@ -278,9 +258,10 @@ class TestWeightedRearrangement:
             ctx = random_context(rng)
             a = random_operator(rng, ctx.algebra)
         total = ctx.weight.total()
-        mu_w = weighted_rearrangement(ctx, a, cross_check=True)
+        mu_w = weighted_rearrangement(ctx, a)
         assert mu_w.support_end <= total
         assert mu_w(total) == 0.0
+        assert step_equal(mu_w, generalized_inverse(weighted_distribution(ctx, a)))
 
 
 ORLICZ_REQUEST_NORMS = ["orlicz:cosh-1", "orlicz:llogl", "orlicz:pow:3", "orlicz:capped:1.0", "L2.5"]
@@ -367,16 +348,6 @@ class TestSpectralMemo:
                 assert weighted_rearrangement(ctx, a)._atoms[0] is LEBESGUE
         assert singular_value_function(a) == singular_value_function(fresh())
 
-    def test_cross_check_runs_on_a_memoized_operator(self, monkeypatch):
-        a = Operator.from_diagonal(M3, [3.0, 1.0, 2.0])
-        weighted_rearrangement(CTX_312, a)
-        weighted_rearrangement(CTX_312, a, cross_check=True)
-        monkeypatch.setattr(
-            weighted_mod, "generalized_inverse", lambda d: StepFunction([0.0, 1.0], [99.0])
-        )
-        with pytest.raises(CrossRouteError):
-            weighted_rearrangement(CTX_312, a, cross_check=True)
-
 
 class TestOracle:
     def test_worked_values(self):
@@ -417,7 +388,8 @@ class TestOracle:
             alg = random_diagonal_algebra(rng, max_dim=6)
             ctx = WeightedContext(alg, random_step_weight(rng))
             a = random_diagonal_operator(rng, alg)
-            mu = weighted_rearrangement(ctx, a, cross_check=True)
+            mu = weighted_rearrangement(ctx, a)
+            assert step_equal(mu, generalized_inverse(weighted_distribution(ctx, a)))
             for t in rng.uniform(0.0, ctx.weight.total() * 1.1, size=20):
                 assert mu(float(t)) == pytest.approx(
                     weighted_rearrangement_oracle(ctx, a, float(t)), abs=1e-10
