@@ -17,14 +17,22 @@ is subnormal.  The relative threshold is ``OFF_DIAGONAL_TOL`` and the sweep
 cap ``MAX_SWEEPS``.
 
 Row k of the work array ``[b^T | I]`` holds column k of ``b`` and then of
-``v``, so a pair is one gather, one 2x2 Gram matrix and one 2x2 rotation.  A
-pair with a squared norm below ``_TINY``, and the final norms, use the rows
-divided by their own powers of two; a column that is all subnormal raises.
+``v``, so a pair is its two rows' 2x2 Gram matrix and one 2x2 rotation of
+them.  Two kernels do that and share everything else.  A block of size at most
+``PYTHON_FLOAT_CUTOFF`` keeps its rows as lists of Python floats and uses
+plain sums and list comprehensions, because on so few entries a numpy call
+per pair costs more than its arithmetic.  A larger block keeps them in one
+array, one gather and two small matrix products per pair, whose fixed cost
+per call the growing rows amortize.  The cutoff sits where the two kernels'
+measured per-call times cross.  A pair with a squared norm below ``_TINY``,
+and the final norms, use the rows divided by their own powers of two; a
+column that is all subnormal raises.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -32,7 +40,8 @@ from .errors import EigenSolverError
 
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
-_TINY = np.finfo(float).tiny / np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny / np.finfo(float).eps)
+PYTHON_FLOAT_CUTOFF = 20  # largest block that sweeps on Python floats
 
 
 def _prescaled(matrix, block_index):
@@ -40,9 +49,9 @@ def _prescaled(matrix, block_index):
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise EigenSolverError(block_index, "matrix must be square")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise EigenSolverError(block_index, "matrix has non-finite entries")
-    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    e = math.frexp(np.abs(a).max(initial=0.0))[1]
     return np.ldexp(a, -e), e
 
 
@@ -75,6 +84,57 @@ def _unconverged(block_index, sweeps, g):
     return EigenSolverError(block_index, "not converged", sweeps=sweeps, off_diagonal=off)
 
 
+def _array_pair(w, p, q, n):
+    """The numpy row kernel: one gather of rows p and q and their 2x2 Gram matrix."""
+    rows = w[[p, q]]
+    x = rows[:, :n]
+    (alpha, gamma), (_, beta) = (x @ x.T).tolist()
+    return rows, alpha, beta, gamma
+
+
+def _array_rotate(w, p, q, rows, c, s):
+    """Writes the rotated pair back as rows p and q of ``w``."""
+    w[[p, q]] = np.array([[c, -s], [s, c]]) @ rows
+
+
+def _list_pair(w, p, q, n):
+    """The Python-float kernel: rows p and q of a list of lists and their Gram entries."""
+    x, y = w[p], w[q]
+    xb, yb = x[:n], y[:n]
+    return (x, y), sum(map(mul, xb, xb)), sum(map(mul, yb, yb)), sum(map(mul, xb, yb))
+
+
+def _list_rotate(w, p, q, rows, c, s):
+    """Replaces rows p and q of ``w`` with the rotated pair."""
+    x, y = rows
+    w[p] = [c * xi - s * yi for xi, yi in zip(x, y)]
+    w[q] = [s * xi + c * yi for xi, yi in zip(x, y)]
+
+
+def _sweep(w, n, live, block_index, pair, rotate):
+    """Cyclic sweeps over the ``live`` rows of ``w`` until every pair passes the
+    relative test, each pair's Gram entries and rotation from ``pair`` and ``rotate``."""
+    for _ in range(MAX_SWEEPS):
+        rotated = False
+        for i, p in enumerate(live):
+            for q in live[i + 1:]:
+                rows, alpha, beta, gamma = pair(w, p, q, n)
+                d = 0
+                if alpha < _TINY or beta < _TINY:
+                    g, (rp, rq) = _scaled_gram(np.asarray(rows)[:, :n])
+                    if min(rp, rq) <= np.finfo(float).minexp:
+                        raise EigenSolverError(block_index, "a column is all subnormal after scaling")
+                    (alpha, gamma), (_, beta) = g.tolist()
+                    d = int(rp - rq)
+                if gamma == 0.0 or abs(gamma) <= OFF_DIAGONAL_TOL * math.sqrt(alpha) * math.sqrt(beta):
+                    continue
+                rotate(w, p, q, rows, *_rotation(alpha, beta, gamma, d))
+                rotated = True
+        if not rotated:
+            return
+    raise _unconverged(block_index, MAX_SWEEPS, _scaled_gram(np.asarray(w)[:, :n])[0])
+
+
 def one_sided_svd(matrix, block_index=0):
     """Singular values and right singular vectors by one-sided Jacobi sweeps.
 
@@ -88,28 +148,13 @@ def one_sided_svd(matrix, block_index=0):
     n = b.shape[0]
     w = np.concatenate((b.T, np.eye(n)), axis=1)
     live = np.flatnonzero(b.any(axis=0)).tolist()  # a zero column never rotates
-    for _ in range(MAX_SWEEPS):
-        rotated = False
-        for i, p in enumerate(live):
-            for q in live[i + 1:]:
-                rows = w[[p, q]]
-                (alpha, gamma), (_, beta) = (rows[:, :n] @ rows[:, :n].T).tolist()
-                d = 0
-                if alpha < _TINY or beta < _TINY:
-                    g, (rp, rq) = _scaled_gram(rows[:, :n])
-                    if min(rp, rq) <= np.finfo(float).minexp:
-                        raise EigenSolverError(block_index, "a column is all subnormal after scaling")
-                    (alpha, gamma), (_, beta) = g.tolist()
-                    d = int(rp - rq)
-                if gamma == 0.0 or abs(gamma) <= OFF_DIAGONAL_TOL * math.sqrt(alpha) * math.sqrt(beta):
-                    continue
-                c, s = _rotation(alpha, beta, gamma, d)
-                w[[p, q]] = np.array([[c, -s], [s, c]]) @ rows
-                rotated = True
-        if not rotated:
-            break
-    else:
-        raise _unconverged(block_index, MAX_SWEEPS, _scaled_gram(w[:, :n])[0])
+    if len(live) > 1:  # one live column has no pair to test, nor rows to convert
+        if n <= PYTHON_FLOAT_CUTOFF:
+            rows = w.tolist()
+            _sweep(rows, n, live, block_index, _list_pair, _list_rotate)
+            w = np.array(rows)
+        else:
+            _sweep(w, n, live, block_index, _array_pair, _array_rotate)
     g, r = _scaled_gram(w[:, :n])
     sv = np.ldexp(np.sqrt(g.diagonal()), e + r)
     order = np.argsort(-sv, kind="stable")

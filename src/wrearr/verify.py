@@ -460,9 +460,7 @@ def _oracle(inst):
     ctx, a, ts = inst
     mu = weighted_rearrangement(ctx, a)
     worst = _routes_disagree(ctx, a, mu)
-    for t in ts:
-        worst = max(worst, abs(mu(float(t)) - weighted_rearrangement_oracle(ctx, a, float(t))))
-    return worst
+    return max(worst, float(np.max(np.abs(mu(ts) - weighted_rearrangement_oracle(ctx, a, ts)))))
 
 
 def _integral_identity(inst):
@@ -665,13 +663,14 @@ def _calculus_commutes(inst):
 
 def _norm_axioms(inst):
     ctx, a, b, lam = inst
+    total, scaled = a + b, lam * a
     worst = 0.0
     for spec in (NormSpec.lp(1), NormSpec.lp(2), NormSpec.orlicz(cosh_minus_one())):
         na = norm_route_b(ctx, spec, a)
         nb = norm_route_b(ctx, spec, b)
-        nsum = norm_route_b(ctx, spec, a + b)
+        nsum = norm_route_b(ctx, spec, total)
         worst = max(worst, (nsum - na - nb) / (1.0 + na + nb))
-        nscaled = norm_route_b(ctx, spec, lam * a)
+        nscaled = norm_route_b(ctx, spec, scaled)
         worst = max(worst, abs(nscaled - abs(lam) * na) / (1.0 + abs(lam) * na))
         if a.norm() > 0.0 and na <= 0.0:
             worst = max(worst, 1.0)

@@ -161,11 +161,13 @@ def weighted_rearrangement_oracle(ctx, a, t):
 
     Enumerates every coordinate-subset projection ``e`` of a diagonal
     operator, keeps those whose complement has weighted trace at most ``t``,
-    and returns the smallest attainable ``||a e||``.  Exponential in the
+    and returns the smallest attainable ``||a e||``.  ``t`` is a float or an
+    array, answered from one set of subset tables.  Exponential in the
     dimension, hence refused above {cap} coordinates.
     """
     _check_member(ctx, a)
-    if not t >= 0:
+    tt = np.asarray(t, dtype=float)
+    if not np.all(tt >= 0):  # also catches nan
         raise ValidationError("the rearrangement parameter must be >= 0")
     if not ctx.algebra.is_matrix or not a.is_diagonal():
         raise ValidationError("the exhaustive oracle needs diagonal matrix blocks")
@@ -176,15 +178,16 @@ def weighted_rearrangement_oracle(ctx, a, t):
         )
     entries = np.abs(a.diagonal_entries())
     lam = ctx.algebra.coordinate_weights()
-    # tables over all 2^n subsets, bit i set = coordinate i kept
+    # tables over all 2^n subsets, bit i set = coordinate i kept; the dropped
+    # trace sums the dropped weights, so keeping every coordinate drops exactly 0
     kept_max = np.zeros(1)
-    kept_trace = np.zeros(1)
+    dropped_trace = np.zeros(1)
     for i in range(n):
         kept_max = np.concatenate([kept_max, np.maximum(kept_max, entries[i])])
-        kept_trace = np.concatenate([kept_trace, kept_trace + lam[i]])
-    dropped_mass = ctx.weight.cumulative(np.maximum(lam.sum() - kept_trace, 0.0))
-    admissible = dropped_mass <= t
-    return float(kept_max[admissible].min())
+        dropped_trace = np.concatenate([dropped_trace + lam[i], dropped_trace])
+    dropped_mass = ctx.weight.cumulative(dropped_trace)
+    out = np.array([kept_max[dropped_mass <= x].min() for x in tt.ravel()]).reshape(tt.shape)
+    return float(out) if tt.ndim == 0 else out
 
 
 weighted_rearrangement_oracle.__doc__ = weighted_rearrangement_oracle.__doc__.format(

@@ -1,14 +1,18 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wrearr import eig
-from wrearr.eig import one_sided_svd
+from wrearr.eig import PYTHON_FLOAT_CUTOFF, one_sided_svd
 from wrearr.errors import EigenSolverError
 
+# the largest block on the Python-float kernel and the smallest on the numpy one
+KERNEL_SIZES = (PYTHON_FLOAT_CUTOFF, PYTHON_FLOAT_CUTOFF + 1)
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
+
+@pytest.mark.parametrize("n", sorted({1, 2, 3, 5, 8, 16, 64, *KERNEL_SIZES}))
 def test_one_sided_svd_matches_lapack(n):
     rng = np.random.default_rng(100 + n)
     a = rng.uniform(-1, 1, size=(n, n))
@@ -38,20 +42,21 @@ def test_one_sided_svd_tiny_singular_value_keeps_relative_accuracy():
 
 
 def test_non_convergence_reports_block_index(monkeypatch):
-    s = np.random.default_rng(1).uniform(-1, 1, (4, 4))
-    m = s + s.T + np.eye(4)
-    monkeypatch.setattr(eig, "MAX_SWEEPS", 0)
-    with pytest.raises(EigenSolverError) as err:
-        one_sided_svd(m, block_index=7)
-    assert err.value.block_index == 7
-    assert err.value.sweeps == 0
-    monkeypatch.setattr(eig, "MAX_SWEEPS", 1)
-    with pytest.raises(EigenSolverError) as err:
-        one_sided_svd(m, block_index=3)
-    assert err.value.block_index == 3 and err.value.sweeps == 1
-    assert 1e-12 < err.value.off_diagonal < 1.0
-    assert "after 1 sweeps" in str(err.value)
-    assert f"{err.value.off_diagonal:.3e}" in str(err.value)
+    for n in (4, PYTHON_FLOAT_CUTOFF + 1):
+        s = np.random.default_rng(1).uniform(-1, 1, (n, n))
+        m = s + s.T + np.eye(n)
+        monkeypatch.setattr(eig, "MAX_SWEEPS", 0)
+        with pytest.raises(EigenSolverError) as err:
+            one_sided_svd(m, block_index=7)
+        assert err.value.block_index == 7
+        assert err.value.sweeps == 0
+        monkeypatch.setattr(eig, "MAX_SWEEPS", 1)
+        with pytest.raises(EigenSolverError) as err:
+            one_sided_svd(m, block_index=3)
+        assert err.value.block_index == 3 and err.value.sweeps == 1
+        assert 1e-12 < err.value.off_diagonal < 1.0, f"n={n}"
+        assert "after 1 sweeps" in str(err.value)
+        assert f"{err.value.off_diagonal:.3e}" in str(err.value)
 
 
 SCALE_EXPONENTS = [-1000, -530, -43, 0, 255, 498, 530, 1000]
@@ -61,7 +66,7 @@ SCALE_EXPONENTS = [-1000, -530, -43, 0, 255, 498, 530, 1000]
 def test_solvers_are_scale_equivariant(k):
     # prescaling by a power of two is exact and the stopping rule is relative,
     # so results for 2^k a are exactly those for a times 2^k
-    for n in (1, 6, 17):
+    for n in (1, 6, *KERNEL_SIZES):
         a = np.random.default_rng(6).uniform(-1, 1, (n, n))
         s, v = one_sided_svd(a)
         s_k, v_k = one_sided_svd(np.ldexp(a, k))
@@ -102,32 +107,61 @@ GRADED_COLUMN_SCALES = [
 ]
 
 
+def _gram_polynomial(b):
+    """Exact coefficients of the characteristic polynomial of ``b^T b``."""
+    n = len(b)
+    exact = [[Fraction(float(x)) for x in row] for row in b]
+    gram = [[sum(exact[k][i] * exact[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return _characteristic_polynomial(gram)
+
+
+def _assert_relatively_accurate(b, polynomials):
+    """Each singular value of ``b`` is within 1e-13 relative of a root of the
+    product of ``polynomials``, the exact characteristic polynomial of ``b^T b``."""
+    tol = Fraction(1, 10**13)
+    for sigma in one_sided_svd(b)[0]:
+        square = Fraction(float(sigma)) ** 2
+        below = math.prod(_evaluate(c, square * (1 - tol)) for c in polynomials)
+        above = math.prod(_evaluate(c, square * (1 + tol)) for c in polynomials)
+        # an eigenvalue of b^T b, a squared singular value, lies in between
+        assert below * above <= 0, f"no eigenvalue of b^T b within 1e-13 of {sigma:.6e}^2"
+
+
 def test_one_sided_svd_keeps_relative_accuracy_on_a_graded_block():
     # columns scaled in permuted order: Jacobi keeps every singular value to
     # high relative accuracy (Demmel and Veselic 1992), where LAPACK's error
     # is relative to the largest one only
-    tol = Fraction(1, 10**13)
     for scales in GRADED_COLUMN_SCALES:
         n = len(scales)
         b = np.random.default_rng(22).uniform(-1, 1, (n, n)) * scales
-        exact = [[Fraction(float(x)) for x in row] for row in b]
-        gram = [[sum(exact[k][i] * exact[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        coeffs = _characteristic_polynomial(gram)
-        for sigma in one_sided_svd(b)[0]:
-            square = Fraction(float(sigma)) ** 2
-            below = _evaluate(coeffs, square * (1 - tol))
-            above = _evaluate(coeffs, square * (1 + tol))
-            # an eigenvalue of b^T b, a squared singular value, lies in between
-            assert below * above <= 0, f"no eigenvalue of b^T b within 1e-13 of {sigma:.6e}^2"
+        _assert_relatively_accurate(b, [_gram_polynomial(b)])
+
+
+def test_one_sided_svd_keeps_relative_accuracy_on_a_graded_block_above_the_cutoff():
+    # a direct sum of graded 6x6 blocks, rows and columns permuted, large
+    # enough for the numpy row kernel; b^T b is a permuted direct sum of the
+    # parts' Gram matrices, so its characteristic polynomial is their product
+    rng = np.random.default_rng(23)
+    graded = [s for s in GRADED_COLUMN_SCALES if len(s) == 6]
+    parts = [rng.uniform(-1, 1, (6, 6)) * graded[i % len(graded)]
+             for i in range(PYTHON_FLOAT_CUTOFF // 6 + 1)]
+    n = 6 * len(parts)
+    b = np.zeros((n, n))
+    for i, part in enumerate(parts):
+        b[6 * i:6 * i + 6, 6 * i:6 * i + 6] = part
+    b = b[rng.permutation(n)][:, rng.permutation(n)]
+    assert n > PYTHON_FLOAT_CUTOFF
+    _assert_relatively_accurate(b, [_gram_polynomial(p) for p in parts])
 
 
 def test_one_sided_svd_rejects_a_column_below_the_float_range_at_once():
     # a column whose entries are all subnormal once the largest entry is in
     # [1/2, 1) cannot keep its digits under rotation: a typed error on its
     # first pair, not a wrong value or 100 sweeps
-    c = np.random.default_rng(22).uniform(-1, 1, (3, 3))
-    for scales in ([1.0, 1e-20, 1e-315], [1e300, 1e-10, 1.0]):
-        with pytest.raises(EigenSolverError) as err:
-            one_sided_svd(c * scales, block_index=2)
-        assert err.value.block_index == 2 and err.value.sweeps is None
-        assert "subnormal" in str(err.value)
+    for n in (3, PYTHON_FLOAT_CUTOFF + 1):
+        c = np.random.default_rng(22).uniform(-1, 1, (n, n))
+        for scales in ([1.0, 1e-20, 1e-315], [1e300, 1e-10, 1.0]):
+            with pytest.raises(EigenSolverError) as err:
+                one_sided_svd(c * (scales + [1.0] * (n - 3)), block_index=2)
+            assert err.value.block_index == 2 and err.value.sweeps is None
+            assert "subnormal" in str(err.value)

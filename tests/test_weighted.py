@@ -362,11 +362,21 @@ class TestOracle:
         assert weighted_rearrangement_oracle(CTX_312, DIAG_312, total + 1.0) == 0.0
 
     def test_rejects_nan_parameter(self):
-        with pytest.raises(ValidationError, match="rearrangement parameter"):
-            weighted_rearrangement_oracle(CTX_312, DIAG_312, math.nan)
+        # also a negative one, and either as one entry of an array
+        for t in (math.nan, -1.0, [0.5, math.nan], [2.0, -0.5]):
+            with pytest.raises(ValidationError, match="rearrangement parameter"):
+                weighted_rearrangement_oracle(CTX_312, DIAG_312, t)
 
     def test_at_zero_only_full_projection_is_admissible(self):
         assert weighted_rearrangement_oracle(CTX_312, DIAG_312, 0.0) == 3.0
+        # 16 coordinate weights whose numpy sum exceeds their running sum: the
+        # full projection still drops exactly nothing (it raised ValueError
+        # when the dropped trace was the total minus the kept trace)
+        rng = np.random.default_rng(7)
+        alg = Algebra.matrix_blocks([1] * 16, rng.uniform(0.1, 3.0, 16).tolist())
+        a = Operator.from_diagonal(alg, rng.uniform(0.5, 2.0, 16))
+        ctx = WeightedContext(alg, WEIGHT_21)
+        assert weighted_rearrangement_oracle(ctx, a, 0.0) == a.diagonal_entries().max()
 
     def test_refuses_large_dimension(self):
         alg = Algebra.matrix_blocks([21], [1.0])
@@ -390,10 +400,11 @@ class TestOracle:
             a = random_diagonal_operator(rng, alg)
             mu = weighted_rearrangement(ctx, a)
             assert step_equal(mu, generalized_inverse(weighted_distribution(ctx, a)))
-            for t in rng.uniform(0.0, ctx.weight.total() * 1.1, size=20):
-                assert mu(float(t)) == pytest.approx(
-                    weighted_rearrangement_oracle(ctx, a, float(t)), abs=1e-10
-                )
+            ts = rng.uniform(0.0, ctx.weight.total() * 1.1, size=20)
+            values = weighted_rearrangement_oracle(ctx, a, ts)
+            for t, value in zip(ts, values):
+                assert weighted_rearrangement_oracle(ctx, a, float(t)) == value
+                assert mu(float(t)) == pytest.approx(value, abs=1e-10)
 
 
 class TestStructuralProperties:
