@@ -69,7 +69,7 @@ class OrliczFunction:
 
     def __call__(self, u):
         uu = np.asarray(u, dtype=float)
-        if np.any(uu < 0):
+        if not np.all(uu >= 0):  # also catches nan
             raise ValidationError("Orlicz functions are evaluated on [0, inf]")
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.asarray(self._fn(uu), dtype=float)

@@ -256,7 +256,7 @@ class Measure:
     def cumulative(self, t):
         """Mass of [0, t); vectorized, ``t = inf`` allowed."""
         tt = np.asarray(t, dtype=float)
-        if np.any(tt < 0):
+        if not np.all(tt >= 0):  # also catches nan
             raise ValidationError("measures live on [0, oo)")
         if self.density is None:
             out = tt
@@ -295,8 +295,10 @@ def _piece_masses(f, m):
 def integrate(f, m):
     """Integral of ``f`` over [0, oo) against ``m``.
 
-    Exact for step densities (finite sum over the breakpoint refinement) and
-    in closed form for the exponential density.  Returns ``inf`` when the
+    A finite sum of value times mass over f's pieces.  A piece's mass is a
+    difference of cumulative masses, piecewise linear for a step density and
+    ``1 - exp(-t)`` for the exponential one, so the sum is rounded: the
+    difference cancels on small far pieces.  Returns ``inf`` when the
     integrand is infinite on a set of positive mass; pieces of zero mass
     contribute nothing regardless of their value.
     """

@@ -3,11 +3,16 @@
 Every named property draws deterministic random instances, computes a
 numeric violation residual (0 means satisfied) and reports the worst case.
 A failing trial is shrunk where possible and dumped as a JSON-able
-counterexample carrying the offending operator and weight.
+counterexample that names every field of its instance.
 
 The properties form one table, ``_REGISTRY``: a row names the property, its
 tolerance, the maker that draws an instance, the residual function and the
-instance fields a counterexample shows.  Property ``i`` draws from
+names of the instance's fields in order.  A counterexample renders each
+field by its type: the context as its weight and an operator as operator
+JSON at the top level; step functions, measures, arrays and scalars in
+``detail``.  An identity the paper proves for both the singular value
+function and the weighted rearrangement has one residual, which takes the
+rearrangement as an argument.  Property ``i`` draws from
 ``np.random.default_rng([seed, i])``, so new rows go at the end.
 """
 
@@ -120,6 +125,10 @@ class PropertyResult:
         return self.failures == 0
 
 
+def _rel_gap(lhs, rhs):
+    return abs(lhs - rhs) / (1.0 + abs(rhs))
+
+
 def _shape_residual(f):
     """0 when ``f`` is a valid non-increasing right-continuous step function."""
     if not f.is_nonincreasing():
@@ -137,14 +146,6 @@ def _routes_disagree(ctx, a, mu):
     generalized inverse of its weighted distribution, else 0."""
     other = generalized_inverse(weighted_distribution(ctx, a))
     return 0.0 if step_equal(mu, other, cross_route_tolerance(), 1e-12) else 1.0
-
-
-def _describe(ctx, detail, **named_ops):
-    out = {"weight": formats.weight_to_obj(ctx.weight)}
-    for name, op in named_ops.items():
-        out[name] = formats.operator_to_obj(op)
-    out["detail"] = detail
-    return out
 
 
 # -- instance makers ----------------------------------------------------------
@@ -180,12 +181,11 @@ def _step_instance(rng):
     return random_step_function(rng), _random_measure(rng)
 
 
-def _with_scalar(lo, hi):
-    """Maker of (ctx, a, lam), lam uniform on [lo, hi)."""
+def _with_scalar(corpus, lo, hi):
+    """Maker of (*corpus, lam), lam uniform on [lo, hi)."""
 
     def make(rng):
-        ctx, a = _corpus(rng)
-        return ctx, a, float(rng.uniform(lo, hi))
+        return (*corpus(rng), float(rng.uniform(lo, hi)))
 
     return make
 
@@ -236,9 +236,9 @@ def _isometry_instance(rng):
 def _labels_instance(rng):
     alg = random_diagonal_algebra(rng, max_dim=10)
     ctx = WeightedContext(alg, random_weight(rng))
-    n = alg.total_dimension
-    labels = rng.integers(0, 3, size=n)  # 0 -> p, 1 -> q, 2 -> neither
-    return ctx, labels
+    labels = rng.integers(0, 3, size=alg.total_dimension)  # 0 -> p, 1 -> q, 2 -> neither
+    p = Projection.from_support_mask(alg, labels == 0)
+    return ctx, p, Projection.from_support_mask(alg, labels == 1)
 
 
 def _capped_positive_corpus(rng):
@@ -248,11 +248,6 @@ def _capped_positive_corpus(rng):
     if norm > 0.9:
         a = (0.9 / norm) * a
     return ctx, a
-
-
-def _norm_axioms_instance(rng):
-    ctx, a, b = _corpus_pair(rng)
-    return ctx, a, b, float(rng.uniform(-3.0, 3.0))
 
 
 def _conjugation_instance(rng):
@@ -269,8 +264,7 @@ def _no_instance(rng):
 
 def _diag_shrink_candidates(inst):
     """Smaller variants of a (ctx, diagonal operator, extras) instance."""
-    ctx, a = inst[0], inst[1]
-    rest = inst[2:]
+    ctx, a, *rest = inst
     entries = a.diagonal_entries()
     lam = ctx.algebra.coordinate_weights()
     if entries.size > 1:
@@ -280,18 +274,12 @@ def _diag_shrink_candidates(inst):
                 small = Algebra.matrix_blocks([1] * int(keep.sum()), lam[keep])
             except ValidationError:
                 continue
-            yield (
-                WeightedContext(small, ctx.weight),
-                Operator.from_diagonal(small, entries[keep]),
-                *rest,
-            )
+            small_a = Operator.from_diagonal(small, entries[keep])
+            yield WeightedContext(small, ctx.weight), small_a, *rest
     dens = ctx.weight.density
     if isinstance(dens, StepFunction) and dens.piece_count > 1:
-        # drop the last density step
-        bp = dens.breakpoints[:-1]
-        va = dens.values[:-1]
-        try:
-            smaller = StepWeight(StepFunction(bp, va))
+        try:  # drop the last density step
+            smaller = StepWeight(StepFunction(dens.breakpoints[:-1], dens.values[:-1]))
         except ValidationError:
             return
         yield (WeightedContext(ctx.algebra, smaller), a, *rest)
@@ -319,33 +307,49 @@ def _shrink(inst, fails, candidates):
 
 # -- the runner -----------------------------------------------------------------
 
-_OPERATOR_FIELDS = frozenset({"operator", "operator_b", "isometry", "conjugator"})
-
 
 @dataclass(frozen=True)
 class _Row:
     """One property.  ``tolerance`` may be the string "cross" to pick up the
     (env-overridable) cross-route tolerance at run time.  ``describe`` names
-    the instance fields after the context that a counterexample shows
-    (operators by name, anything else as a detail scalar), or is a function
-    ``(inst, residual) -> dict`` for output that fields cannot express."""
+    every field of an instance, in order, the context included: the key
+    under which a counterexample shows it."""
 
     name: str
     tolerance: float | str
     make: Callable
     residual: Callable
-    describe: tuple | Callable = ("operator",)
+    describe: tuple = ("weight", "operator")
     shrink: Callable | None = None
     max_trials: int | None = None
 
 
+def _measure_to_obj(m):
+    """A measure in the weight JSON form, keyed on its density."""
+    if m.density is None:
+        return {"kind": "lebesgue"}
+    if isinstance(m.density, StepFunction):
+        return {"kind": "step", "mu": formats.step_to_obj(m.density)}
+    return {"kind": "exp"}
+
+
 def _counterexample(row, inst, r):
-    if callable(row.describe):
-        return row.describe(inst, r)
-    named = dict(zip(row.describe, inst[1:]))
-    ops = {k: v for k, v in named.items() if k in _OPERATOR_FIELDS}
-    detail = {k: v for k, v in named.items() if k not in _OPERATOR_FIELDS}
-    return _describe(inst[0], {**detail, "residual": r}, **ops)
+    out, detail = {}, {}
+    for name, value in zip(row.describe, inst):
+        if isinstance(value, WeightedContext):
+            out[name] = formats.weight_to_obj(value.weight)
+        elif isinstance(value, Operator):
+            out[name] = formats.operator_to_obj(value)
+        elif isinstance(value, StepFunction):
+            detail[name] = formats.step_to_obj(value)
+        elif isinstance(value, Measure):
+            detail[name] = _measure_to_obj(value)
+        elif isinstance(value, np.ndarray):
+            detail[name] = value.tolist()
+        else:
+            detail[name] = value
+    out["detail"] = {**detail, "residual": r}
+    return out
 
 
 def _loop(row, rng, trials, tol):
@@ -378,44 +382,59 @@ def _step_equimeasurable(inst):
     return step_value_residual(distribution(rearrange(f, m), LEBESGUE), distribution(f, m))
 
 
+def _excess_at_rearrangement(d, mu, points):
+    """Worst excess of d(mu(t)) over t on ``points``; 0 when d(mu(t)) <= t there."""
+    worst = 0.0
+    for t in points:
+        worst = max(worst, d(mu(float(t))) - float(t))
+    return worst
+
+
 def _step_distribution_bound(inst):
     f, m = inst
-    d = distribution(f, m)
     r = rearrange(f, m)
-    worst = 0.0
-    for t in r.breakpoints:
-        worst = max(worst, d(r(float(t))) - float(t))
-    return worst
+    return _excess_at_rearrangement(distribution(f, m), r, r.breakpoints)
 
 
 def _step_integral(inst):
     f, m = inst
-    lhs = integrate(rearrange(f, m), LEBESGUE)
-    rhs = integrate(f, m)
-    return abs(lhs - rhs) / (1.0 + abs(rhs))
-
-
-def _describe_step(inst, r):
-    return {"detail": {"function": formats.step_to_obj(inst[0]), "residual": r}}
+    return _rel_gap(integrate(rearrange(f, m), LEBESGUE), integrate(f, m))
 
 
 # -- algebra layer --------------------------------------------------------------
 
 
-def _sv_abs_adjoint(inst):
-    ctx, a = inst
-    mu = singular_value_function(a)
-    return max(
-        step_value_residual(mu, singular_value_function(absolute(a))),
-        step_value_residual(mu, singular_value_function(a.T)),
-    )
+def _sv(_ctx, a):
+    return singular_value_function(a)
 
 
-def _sv_homogeneous(inst):
-    _, a, lam = inst
-    return step_value_residual(
-        singular_value_function(lam * a), singular_value_function(a).scaled(abs(lam))
-    )
+def _wr(ctx, a):
+    # looked up at each call, so that a rebound ``weighted_rearrangement`` is seen
+    return weighted_rearrangement(ctx, a)
+
+
+def _abs_adjoint(rearr):
+    """mu(a) = mu(|a|) = mu(a^T) for the rearrangement ``rearr(ctx, a)``."""
+
+    def residual(inst):
+        ctx, a = inst
+        mu = rearr(ctx, a)
+        return max(
+            step_value_residual(mu, rearr(ctx, absolute(a))),
+            step_value_residual(mu, rearr(ctx, a.T)),
+        )
+
+    return residual
+
+
+def _homogeneous(rearr):
+    """mu(lam a) = |lam| mu(a) for the rearrangement ``rearr(ctx, a)``."""
+
+    def residual(inst):
+        ctx, a, lam = inst
+        return step_value_residual(rearr(ctx, lam * a), rearr(ctx, a).scaled(abs(lam)))
+
+    return residual
 
 
 def _sv_distribution_counts(inst):
@@ -424,8 +443,7 @@ def _sv_distribution_counts(inst):
     worst = 0.0
     pos = absolute(a)
     for t in ts:
-        p = spectral_projection(pos, float(t))
-        worst = max(worst, abs(d(float(t)) - p.trace()))
+        worst = max(worst, abs(d(float(t)) - spectral_projection(pos, float(t)).trace()))
     return worst
 
 
@@ -465,9 +483,7 @@ def _oracle(inst):
 
 def _integral_identity(inst):
     ctx, a = inst
-    lhs = integrate(weighted_rearrangement(ctx, a), LEBESGUE)
-    rhs = weighted_trace(ctx, a)
-    return abs(lhs - rhs) / (1.0 + abs(rhs))
+    return _rel_gap(integrate(weighted_rearrangement(ctx, a), LEBESGUE), weighted_trace(ctx, a))
 
 
 def _trace_subadditive(inst):
@@ -477,16 +493,12 @@ def _trace_subadditive(inst):
 
 def _trace_homogeneous(inst):
     ctx, a, lam = inst
-    lhs = weighted_trace(ctx, lam * a)
-    rhs = abs(lam) * weighted_trace(ctx, a)
-    return abs(lhs - rhs) / (1.0 + abs(rhs))
+    return _rel_gap(weighted_trace(ctx, lam * a), abs(lam) * weighted_trace(ctx, a))
 
 
 def _trace_adjoint_product(inst):
     ctx, a = inst
-    lhs = weighted_trace(ctx, a.T @ a)
-    rhs = weighted_trace(ctx, a @ a.T)
-    return abs(lhs - rhs) / (1.0 + abs(rhs))
+    return _rel_gap(weighted_trace(ctx, a.T @ a), weighted_trace(ctx, a @ a.T))
 
 
 def _trace_faithful(inst):
@@ -518,60 +530,26 @@ def _equivalent_projections(inst):
     return abs(weighted_trace(ctx, p) - weighted_trace(ctx, q))
 
 
-def _labelled_projections(ctx, labels):
-    p = Projection.from_support_mask(ctx.algebra, labels == 0)
-    q = Projection.from_support_mask(ctx.algebra, labels == 1)
-    return p, q
-
-
 def _orthogonal_projections(inst):
-    ctx, labels = inst
-    p, q = _labelled_projections(ctx, labels)
+    ctx, p, q = inst
     return max(0.0, weighted_trace(ctx, p) - weighted_trace(ctx, q.complement()))
 
 
-def _describe_orthogonal_projections(inst, r):
-    ctx, labels = inst
-    p, q = _labelled_projections(ctx, labels)
-    return _describe(ctx, {"residual": r}, projection_p=p, projection_q=q)
+def _shift(combine, excess):
+    """The shift inequality mu_w(t + s; combine(a, b)) <= mu_w(t; a) op mu_w(s; b);
+    ``excess(lhs, x, y)`` is how far the left side exceeds the right."""
 
+    def residual(inst):
+        ctx, a, b, ts = inst
+        mu_c = weighted_rearrangement(ctx, combine(a, b))
+        mu_a = weighted_rearrangement(ctx, a)
+        mu_b = weighted_rearrangement(ctx, b)
+        worst = 0.0
+        for t, s in ts:
+            worst = max(worst, excess(mu_c(t + s), mu_a(float(t)), mu_b(float(s))))
+        return worst
 
-def _wr_abs_adjoint(inst):
-    ctx, a = inst
-    mu = weighted_rearrangement(ctx, a)
-    return max(
-        step_value_residual(mu, weighted_rearrangement(ctx, absolute(a))),
-        step_value_residual(mu, weighted_rearrangement(ctx, a.T)),
-    )
-
-
-def _wr_homogeneous(inst):
-    ctx, a, lam = inst
-    return step_value_residual(
-        weighted_rearrangement(ctx, lam * a), weighted_rearrangement(ctx, a).scaled(abs(lam))
-    )
-
-
-def _wr_sum_shift(inst):
-    ctx, a, b, ts = inst
-    mu_sum = weighted_rearrangement(ctx, a + b)
-    mu_a = weighted_rearrangement(ctx, a)
-    mu_b = weighted_rearrangement(ctx, b)
-    worst = 0.0
-    for t, s in ts:
-        worst = max(worst, mu_sum(t + s) - mu_a(float(t)) - mu_b(float(s)))
-    return worst
-
-
-def _wr_product_shift(inst):
-    ctx, a, b, ts = inst
-    mu_prod = weighted_rearrangement(ctx, a @ b)
-    mu_a = weighted_rearrangement(ctx, a)
-    mu_b = weighted_rearrangement(ctx, b)
-    worst = 0.0
-    for t, s in ts:
-        worst = max(worst, mu_prod(t + s) - mu_a(float(t)) * mu_b(float(s)))
-    return worst
+    return residual
 
 
 def _wr_shape(inst):
@@ -589,12 +567,8 @@ def _wr_small_t(inst):
 def _wd_bound(inst):
     ctx, a, ts = inst
     mu = weighted_rearrangement(ctx, a)
-    d = weighted_distribution(ctx, a)
     points = np.concatenate([mu.breakpoints, ts])
-    worst = 0.0
-    for t in points:
-        worst = max(worst, d(mu(float(t))) - float(t))
-    return worst
+    return _excess_at_rearrangement(weighted_distribution(ctx, a), mu, points)
 
 
 def _truncation(inst):
@@ -670,8 +644,7 @@ def _norm_axioms(inst):
         nb = norm_route_b(ctx, spec, b)
         nsum = norm_route_b(ctx, spec, total)
         worst = max(worst, (nsum - na - nb) / (1.0 + na + nb))
-        nscaled = norm_route_b(ctx, spec, scaled)
-        worst = max(worst, abs(nscaled - abs(lam) * na) / (1.0 + abs(lam) * na))
+        worst = max(worst, _rel_gap(norm_route_b(ctx, spec, scaled), abs(lam) * na))
         if a.norm() > 0.0 and na <= 0.0:
             worst = max(worst, 1.0)
     return worst
@@ -680,27 +653,25 @@ def _norm_axioms(inst):
 def _lp_quadrature(inst):
     ctx, a = inst
     mu = singular_value_function(a)
+    # midpoint quadrature on the refined grid; exact for step data
+    grid = mu.breakpoints
+    dens = ctx.weight.density
+    if isinstance(dens, StepFunction):
+        grid = np.union1d(grid, dens.breakpoints)
+    levels = mu(0.5 * (grid[:-1] + grid[1:]))
+    masses = ctx.weight.interval_mass(grid[:-1], grid[1:])
     worst = 0.0
     for p in (1.0, 2.0, 3.0):
-        direct = norm_route_a(ctx, NormSpec.lp(p), a)
-        # midpoint quadrature on the refined grid; exact for step data
-        grid = mu.breakpoints
-        dens = ctx.weight.density
-        if isinstance(dens, StepFunction):
-            grid = np.union1d(grid, dens.breakpoints)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        masses = ctx.weight.interval_mass(grid[:-1], grid[1:])
-        quad = float(np.dot(mu(mids) ** p, masses)) ** (1.0 / p)
-        worst = max(worst, abs(direct - quad) / (1.0 + quad))
+        quad = float(np.dot(levels**p, masses)) ** (1.0 / p)
+        worst = max(worst, _rel_gap(norm_route_a(ctx, NormSpec.lp(p), a), quad))
     return worst
 
 
 def _conjugation(inst):
     ctx, a, v = inst
     conj = v.T @ a @ v
-    worst = step_value_residual(singular_value_function(a), singular_value_function(conj))
     worst = max(
-        worst,
+        step_value_residual(singular_value_function(a), singular_value_function(conj)),
         step_value_residual(weighted_rearrangement(ctx, a), weighted_rearrangement(ctx, conj)),
     )
     for spec in (NormSpec.lp(2), NormSpec.orlicz(l_log_l())):
@@ -711,12 +682,11 @@ def _conjugation(inst):
 def _exp_reference(_inst):
     alg = Algebra.commutative(2.0)
     ctx = WeightedContext(alg, ExpWeight())
-    whole = Operator.multiplier(alg, StepFunction([0.0, 2.0], [1.0]))
-    first = Operator.multiplier(alg, StepFunction([0.0, 1.0], [1.0]))
-    second = Operator.multiplier(alg, StepFunction([0.0, 1.0, 2.0], [0.0, 1.0]))
-    t_whole = weighted_trace(ctx, whole)
-    t_first = weighted_trace(ctx, first)
-    t_second = weighted_trace(ctx, second)
+    # the multipliers of [0, 2), [0, 1) and [1, 2)
+    t_whole, t_first, t_second = (
+        weighted_trace(ctx, Operator.multiplier(alg, StepFunction(bp, values)))
+        for bp, values in (([0.0, 2.0], [1.0]), ([0.0, 1.0], [1.0]), ([0.0, 1.0, 2.0], [0.0, 1.0]))
+    )
     gap = t_first + t_second - t_whole
     return max(
         abs(t_whole - (-math.expm1(-2.0))),
@@ -727,68 +697,65 @@ def _exp_reference(_inst):
     )
 
 
-def _describe_detail_only(_inst, r):
-    return {"detail": {"residual": r}}
-
-
 # -- the registry --------------------------------------------------------------
 
+_STEP = ("function", "measure")
+_SHIFT = ("weight", "operator", "operator_b", "times")
+
 _REGISTRY = [
-    _Row("step-distribution-shape", 0.0, _step_instance, _step_distribution_shape, _describe_step),
-    _Row("step-rearrangement-equimeasurable", "cross", _step_instance, _step_equimeasurable,
-         _describe_step),
+    _Row("step-distribution-shape", 0.0, _step_instance, _step_distribution_shape, _STEP),
+    _Row("step-rearrangement-equimeasurable", "cross", _step_instance, _step_equimeasurable, _STEP),
     _Row("step-distribution-at-rearrangement-bounded", 1e-12, _step_instance,
-         _step_distribution_bound, _describe_step),
-    _Row("step-rearrangement-preserves-integral", "cross", _step_instance, _step_integral,
-         _describe_step),
-    _Row("singular-values-of-abs-and-adjoint-agree", "cross", _corpus, _sv_abs_adjoint),
-    _Row("singular-values-homogeneous", "cross", _with_scalar(-3.0, 3.0), _sv_homogeneous,
-         ("operator", "scalar")),
+         _step_distribution_bound, _STEP),
+    _Row("step-rearrangement-preserves-integral", "cross", _step_instance, _step_integral, _STEP),
+    _Row("singular-values-of-abs-and-adjoint-agree", "cross", _corpus, _abs_adjoint(_sv)),
+    _Row("singular-values-homogeneous", "cross", _with_scalar(_corpus, -3.0, 3.0),
+         _homogeneous(_sv), ("weight", "operator", "scalar")),
     _Row("singular-value-distribution-counts-spectrum", "cross", _spectrum_instance,
-         _sv_distribution_counts),
+         _sv_distribution_counts, ("weight", "operator", "times")),
     _Row("support-projection-trace", "cross", _matrix_corpus, _support_projection_trace),
     _Row("functional-calculus-preserves-level-sets", "cross", _level_set_instance, _level_sets,
-         ("operator", "threshold")),
+         ("weight", "operator", "threshold")),
     _Row("oracle-matches-weighted-rearrangement", "cross", _with_times(_diag_corpus, 50), _oracle,
-         shrink=_diag_shrink_candidates),
+         ("weight", "operator", "times"), shrink=_diag_shrink_candidates),
     _Row("rearrangement-integral-equals-weighted-trace", "cross", _corpus, _integral_identity),
     _Row("weighted-trace-subadditive", 1e-9, _corpus_pair, _trace_subadditive,
-         ("operator", "operator_b")),
-    _Row("weighted-trace-homogeneous", 1e-9, _with_scalar(-4.0, 4.0), _trace_homogeneous,
-         ("operator", "scalar")),
+         ("weight", "operator", "operator_b")),
+    _Row("weighted-trace-homogeneous", 1e-9, _with_scalar(_corpus, -4.0, 4.0),
+         _trace_homogeneous, ("weight", "operator", "scalar")),
     _Row("weighted-trace-adjoint-product-symmetric", 1e-9, _corpus, _trace_adjoint_product),
     _Row("weighted-trace-faithful", 0.0, _corpus, _trace_faithful),
     _Row("weighted-trace-normal-on-monotone-sequences", 1e-9, _positive_corpus, _trace_normal),
     _Row("equivalent-projections-share-weighted-trace", 1e-9, _isometry_instance,
-         _equivalent_projections, ("isometry",)),
+         _equivalent_projections, ("weight", "isometry")),
     _Row("orthogonal-projections-trace-inequality", 1e-12, _labels_instance,
-         _orthogonal_projections, _describe_orthogonal_projections),
-    _Row("weighted-rearrangement-of-abs-and-adjoint-agree", "cross", _corpus, _wr_abs_adjoint),
-    _Row("weighted-rearrangement-homogeneous", "cross", _with_scalar(-3.0, 3.0), _wr_homogeneous,
-         ("operator", "scalar")),
-    _Row("weighted-rearrangement-sum-shift-inequality", "cross", _shift_instance, _wr_sum_shift,
-         ("operator", "operator_b")),
+         _orthogonal_projections, ("weight", "projection_p", "projection_q")),
+    _Row("weighted-rearrangement-of-abs-and-adjoint-agree", "cross", _corpus, _abs_adjoint(_wr)),
+    _Row("weighted-rearrangement-homogeneous", "cross", _with_scalar(_corpus, -3.0, 3.0),
+         _homogeneous(_wr), ("weight", "operator", "scalar")),
+    _Row("weighted-rearrangement-sum-shift-inequality", "cross", _shift_instance,
+         _shift(lambda a, b: a + b, lambda c, x, y: c - x - y), _SHIFT),
     _Row("weighted-rearrangement-product-shift-inequality", "cross", _shift_instance,
-         _wr_product_shift, ("operator", "operator_b")),
+         _shift(lambda a, b: a @ b, lambda c, x, y: c - x * y), _SHIFT),
     _Row("weighted-rearrangement-shape", 0.0, _corpus, _wr_shape),
     _Row("weighted-rearrangement-small-t-limit", 1e-9, _corpus, _wr_small_t),
     _Row("weighted-distribution-at-rearrangement-bounded", 1e-12, _with_times(_corpus, 8),
-         _wd_bound),
+         _wd_bound, ("weight", "operator", "times")),
     _Row("truncation-distance-dominates-rearrangement", "cross", _with_times(_diag_corpus, None),
-         _truncation, ("operator", "t"), shrink=_diag_shrink_candidates),
+         _truncation, ("weight", "operator", "t"), shrink=_diag_shrink_candidates),
     _Row("orlicz-norm-routes-agree", 1e-8, _corpus, _orlicz_routes),
     _Row("lp-norm-routes-agree", 1e-8, _corpus, _lp_routes),
     _Row("membership-routes-agree", 0.0, _corpus, _membership_routes),
     _Row("functional-calculus-commutes-with-rearrangement", "cross", _capped_positive_corpus,
          _calculus_commutes),
-    _Row("rearrangement-norm-axioms", 1e-9, _norm_axioms_instance, _norm_axioms,
-         ("operator", "operator_b")),
+    _Row("rearrangement-norm-axioms", 1e-9, _with_scalar(_corpus_pair, -3.0, 3.0), _norm_axioms,
+         ("weight", "operator", "operator_b", "scalar")),
     _Row("lp-norm-matches-quadrature", "cross", _corpus, _lp_quadrature),
     _Row("conjugation-invariance", 1e-9, _conjugation_instance, _conjugation,
-         ("operator", "conjugator")),
+         ("weight", "operator", "conjugator")),
     # deterministic, a single evaluation suffices
-    _Row("exponential-weight-reference-values", 1e-12, _no_instance, _exp_reference,
-         _describe_detail_only, max_trials=1),
+    _Row("exponential-weight-reference-values", 1e-12, _no_instance, _exp_reference, (),
+         max_trials=1),
 ]
 
 PROPERTY_NAMES = [row.name for row in _REGISTRY]

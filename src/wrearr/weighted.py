@@ -51,7 +51,7 @@ class Weight(Measure):
 
 
 class StepWeight(Weight):
-    """Weight given by a non-increasing step density (exact arithmetic)."""
+    """Weight given by a non-increasing step density."""
 
     __slots__ = ()
 
@@ -68,7 +68,7 @@ class StepWeight(Weight):
 
     def cumulative_inverse(self, u):
         uu = np.asarray(u, dtype=float)
-        if np.any(uu < 0) or np.any(uu > self.total()):
+        if not (np.all(uu >= 0) and np.all(uu <= self.total())):  # also catches nan
             raise ValidationError("cumulative inverse needs 0 <= u <= total mass")
         out = np.interp(uu, self._cum, self._knots)
         return float(out) if uu.ndim == 0 else out
@@ -87,7 +87,7 @@ class ExpWeight(Weight):
 
     def cumulative_inverse(self, u):
         uu = np.asarray(u, dtype=float)
-        if np.any(uu < 0) or np.any(uu > 1):
+        if not (np.all(uu >= 0) and np.all(uu <= 1)):  # also catches nan
             raise ValidationError("cumulative inverse needs 0 <= u <= 1")
         with np.errstate(divide="ignore"):
             out = -np.log1p(-uu)

@@ -98,6 +98,24 @@ def test_cli_verify_reports_failure_with_counterexample(monkeypatch, capsys):
     assert payload["worst_residual"] == 1.0
 
 
+@pytest.mark.parametrize("index", range(len(PROPERTY_NAMES)), ids=PROPERTY_NAMES)
+def test_every_row_writes_a_counterexample_naming_each_field(monkeypatch, index):
+    row = verify_mod._REGISTRY[index]
+    broken = dataclasses.replace(row, residual=lambda inst: 1.0)
+    registry = list(verify_mod._REGISTRY)
+    registry[index] = broken
+    monkeypatch.setattr(verify_mod, "_REGISTRY", registry)
+    result = run_property(row.name, 1, 1)
+    assert result.failures == 1
+    payload = json.loads(json.dumps(result.counterexample))
+    assert payload == result.counterexample
+    assert payload["detail"]["residual"] == 1.0
+    instance = row.make(np.random.default_rng([1, index]))
+    assert len(row.describe) == len(instance)
+    keys = [k for k in payload if k != "detail"] + [k for k in payload["detail"] if k != "residual"]
+    assert sorted(keys) == sorted(row.describe)
+
+
 ROUTE_ROWS = ("oracle-matches-weighted-rearrangement", "weighted-rearrangement-shape")
 
 

@@ -453,3 +453,21 @@ class TestStructuralProperties:
         p = Projection.from_support_mask(alg, [True, False, False, False])
         q = Projection.from_support_mask(alg, [False, True, True, False])
         assert weighted_trace(ctx, p) <= weighted_trace(ctx, q.complement()) + 1e-12
+
+
+# np.any(x < 0) is False for NaN, so each of these once returned nan
+NAN_ENTRY_POINTS = {
+    "Measure.cumulative": lambda x: Measure(StepFunction([0.0, 1.0], [2.0])).cumulative(x),
+    "Measure.interval_mass": lambda x: LEBESGUE.interval_mass(0.0, x),
+    "StepWeight.cumulative_inverse": lambda x: StepWeight(
+        StepFunction([0.0, 1.0], [2.0])).cumulative_inverse(x),
+    "ExpWeight.cumulative_inverse": lambda x: ExpWeight().cumulative_inverse(x),
+    "OrliczFunction.__call__": lambda x: norms_mod.power(2)(x),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+@pytest.mark.parametrize("call", NAN_ENTRY_POINTS.values(), ids=NAN_ENTRY_POINTS.keys())
+def test_domain_checks_reject_nan(call, x):
+    with pytest.raises(ValidationError):
+        call(x)
