@@ -2,16 +2,17 @@
 
 Everything in this library is built from one data type: a right-continuous
 step function on [0, oo) that vanishes beyond its last breakpoint.  This
-script walks through evaluation, integration against different measures,
+script walks through evaluation, integration against the three kinds of
+measure (Lebesgue measure, a step density and the exponential weight),
 distribution functions, and the decreasing rearrangement.
 """
 
 import numpy as np
 
 from wrearr import (
-    EXPONENTIAL_DENSITY,
     LEBESGUE,
-    Measure,
+    DensityMeasure,
+    ExpWeight,
     StepFunction,
     distribution,
     integrate,
@@ -31,11 +32,11 @@ print("\ncanonical form of (2,2,1,0):", g)
 print("\nintegral of f dt =", integrate(f, LEBESGUE))
 
 # Against a measure with a step density (2 on [0,1), 1 on [1,3)):
-nu = Measure(StepFunction([0, 1, 3], [2, 1]))
+nu = DensityMeasure(StepFunction([0, 1, 3], [2, 1]))
 print("integral of f dnu =", integrate(f, nu))
 
-# Against the closed-form exponential density exp(-t):
-exp_measure = Measure(EXPONENTIAL_DENSITY)
+# Against the exponential weight, the measure with density exp(-t):
+exp_measure = ExpWeight()
 print("integral of chi_[0,2) exp(-t) dt =", integrate(StepFunction([0, 2], [1.0]), exp_measure))
 
 # The distribution function t -> m({f > t}) is again a step function,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import formats, generate
@@ -122,6 +123,18 @@ def _cmd_norm(args):
     return EXIT_OK
 
 
+def _finite_json(obj):
+    """``obj`` with each non-finite float as the string "inf", "-inf" or "nan",
+    so that strict JSON parsers read it."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def _cmd_verify(args):
     if args.trials < 0:
         raise ParseError("--trials must be >= 0")
@@ -136,7 +149,8 @@ def _cmd_verify(args):
             dump = {"property": r.name, "worst_residual": r.worst_residual}
             if r.counterexample:
                 dump.update(r.counterexample)
-            print("counterexample " + json.dumps(dump, sort_keys=True), file=sys.stderr)
+            text = json.dumps(_finite_json(dump), sort_keys=True, allow_nan=False)
+            print("counterexample " + text, file=sys.stderr)
         return EXIT_PROPERTY_FAILURE
     return EXIT_OK
 

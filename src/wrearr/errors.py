@@ -34,4 +34,4 @@ class InfiniteValueError(WrearrError):
 
 
 class NormOverflowError(WrearrError):
-    """A finite norm exceeds the largest float (CLI exit code 3)."""
+    """A finite norm or integral exceeds the largest float (CLI exit code 3)."""

@@ -10,7 +10,9 @@ or, for multipliers,
     {"algebra": {"kind": "steps", "bound": 2.0},
      "step": {"breakpoints": [0.0, 2.0], "values": [1.0]}}
 
-Weight files are {"kind": "step", "mu": {...}} or {"kind": "exp"}.
+Weight files are {"kind": "step", "mu": {...}} or {"kind": "exp"}.  A
+counterexample may also name Lebesgue measure, {"kind": "lebesgue"}, which is
+no weight and which ``parse_weight`` rejects.
 Step functions always serialize as {"breakpoints": [...], "values": [...]}.
 """
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .algebra import Algebra, Operator
 from .errors import ParseError, ValidationError
-from .stepfn import StepFunction
+from .stepfn import LEBESGUE, DensityMeasure, StepFunction
 from .weighted import ExpWeight, StepWeight
 
 __all__ = [
@@ -148,10 +150,13 @@ def parse_operator(obj, where="operator"):
 
 
 def weight_to_obj(w):
-    if isinstance(w, StepWeight):
+    """A measure of any of the three kinds in the weight JSON form."""
+    if isinstance(w, DensityMeasure):
         return {"kind": "step", "mu": step_to_obj(w.density)}
     if isinstance(w, ExpWeight):
         return {"kind": "exp"}
+    if w is LEBESGUE:
+        return {"kind": "lebesgue"}
     raise ValidationError(f"cannot serialize weight {w!r}")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import singular_value_function
 from .errors import NormOverflowError, ParseError, ValidationError
-from .stepfn import LEBESGUE, _piece_masses, integrate
+from .stepfn import LEBESGUE, integrate
 from .weighted import weighted_rearrangement
 
 __all__ = [
@@ -221,7 +221,7 @@ def _atoms(f, m):
     masses.  A modular of any scaling of ``f`` depends on nothing else.  They
     are kept on ``f``, read-only, for the last measure object asked for."""
     if f._atoms is None or f._atoms[0] is not m:
-        masses = _piece_masses(f, m)
+        masses = m.piece_masses(f.breakpoints)
         live = masses > 0
         levels, masses = np.abs(f.values[live]), masses[live]
         levels.setflags(write=False)

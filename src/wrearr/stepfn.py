@@ -4,8 +4,12 @@ The whole calculus runs on one representation: a right-continuous step
 function that vanishes beyond its last breakpoint.  Distribution functions,
 decreasing rearrangements, weight densities and Orlicz modulars are all
 of this form, so integration and rearrangement reduce to finite sums over
-breakpoint refinements.  The sums are rounded: under a weight a piece's mass
-is a difference of cumulative masses, which cancels on small far pieces.
+breakpoint refinements.  A :class:`Measure` is one of three kinds, each
+owning its cumulative mass ``W`` and so its piece masses: Lebesgue measure
+(``W(t) = t``), a :class:`DensityMeasure` with a step density (``W``
+piecewise linear) and the exponential weight (``W(t) = 1 - exp(-t)``).  The
+sums are rounded: a piece's mass is a difference of cumulative masses,
+which cancels on small far pieces.
 
 ``+inf`` is a first-class value; products follow the measure-theoretic
 convention ``0 * inf = 0``.
@@ -17,14 +21,13 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NormOverflowError, ValidationError
 
 __all__ = [
     "StepFunction",
     "Measure",
-    "ExponentialDensity",
+    "DensityMeasure",
     "LEBESGUE",
-    "EXPONENTIAL_DENSITY",
     "integrate",
     "distribution",
     "rearrange",
@@ -204,46 +207,60 @@ class StepFunction:
         return f"StepFunction({ps})" if ps else "StepFunction(0)"
 
 
-class ExponentialDensity:
-    """The closed-form density exp(-t) on [0, oo)."""
+class Measure:
+    """A measure on [0, oo), known by its cumulative mass ``W(t) = m([0, t))``.
+
+    There are three kinds, each with its own ``W``: Lebesgue measure
+    :data:`LEBESGUE`, a :class:`DensityMeasure` with a step density, and the
+    exponential weight :class:`~wrearr.weighted.ExpWeight`.  Every interval
+    has finite mass under the last two, which the rearrangement machinery
+    relies on.
+    """
 
     __slots__ = ()
 
     def cumulative(self, t):
-        # integral of exp(-s) over [0, t) = 1 - exp(-t), exact via expm1
-        return -np.expm1(-np.asarray(t, dtype=float))
+        """Mass of [0, t); vectorized, ``t = inf`` allowed."""
+        tt = np.asarray(t, dtype=float)
+        if not np.all(tt >= 0):  # also catches nan
+            raise ValidationError("measures live on [0, oo)")
+        out = self._cumulative(tt)
+        return float(out) if tt.ndim == 0 else out
+
+    def piece_masses(self, bp):
+        """The mass of each piece [bp[i], bp[i+1]) of increasing breakpoints."""
+        return np.diff(self.cumulative(bp))
+
+    def total(self):
+        return self.cumulative(math.inf)
+
+
+class _Lebesgue(Measure):
+    __slots__ = ()
+
+    def _cumulative(self, t):
+        return t
 
     def __repr__(self):
-        return "ExponentialDensity()"
+        return "LEBESGUE"
 
 
-EXPONENTIAL_DENSITY = ExponentialDensity()
+LEBESGUE = _Lebesgue()
 
 
-class Measure:
-    """Lebesgue measure on [0, oo) as ``Measure()``, or the measure with a given
-    density as ``Measure(density)``.
-
-    The density is either a non-negative finite :class:`StepFunction` whose
-    total mass is finite, or the closed-form :class:`ExponentialDensity`; both
-    give every interval finite mass, which the rearrangement machinery relies
-    on.
-    """
+class DensityMeasure(Measure):
+    """The measure with a non-negative, finite step density of finite total
+    mass; its cumulative mass is piecewise linear between the density's
+    breakpoints."""
 
     __slots__ = ("density", "_knots", "_cum")
 
-    def __init__(self, density=None):
-        self.density = density
-        self._knots = None
-        self._cum = None
-        if density is None or isinstance(density, ExponentialDensity):
-            return
-        if not isinstance(density, StepFunction):
-            raise ValidationError("density must be a StepFunction or ExponentialDensity")
+    def __init__(self, density):
         if not density.is_nonnegative():
             raise ValidationError("density must be non-negative")
         if not np.all(np.isfinite(density.values)):
             raise ValidationError("density must be finite")
+        self.density = density
         self._knots = density.breakpoints
         with np.errstate(over="ignore"):
             self._cum = np.concatenate(
@@ -253,43 +270,11 @@ class Measure:
             raise ValidationError("density must have a finite cumulative mass")
         self._cum.setflags(write=False)
 
-    def cumulative(self, t):
-        """Mass of [0, t); vectorized, ``t = inf`` allowed."""
-        tt = np.asarray(t, dtype=float)
-        if not np.all(tt >= 0):  # also catches nan
-            raise ValidationError("measures live on [0, oo)")
-        if self.density is None:
-            out = tt
-        elif isinstance(self.density, ExponentialDensity):
-            out = self.density.cumulative(tt)
-        else:
-            # cumulative mass is piecewise linear between the density knots
-            out = np.interp(tt, self._knots, self._cum)
-        return float(out) if tt.ndim == 0 else out
-
-    def interval_mass(self, start, end):
-        """Mass of [start, end); handles empty and unbounded intervals."""
-        a = np.asarray(start, dtype=float)
-        b = np.asarray(end, dtype=float)
-        empty = b <= a
-        ca = self.cumulative(np.where(empty, 0.0, a))
-        cb = self.cumulative(np.where(empty, 0.0, b))
-        out = np.where(empty, 0.0, cb - ca)
-        return float(out) if np.asarray(start).ndim == 0 and np.asarray(end).ndim == 0 else out
-
-    def total(self):
-        return self.cumulative(math.inf)
+    def _cumulative(self, t):
+        return np.interp(t, self._knots, self._cum)
 
     def __repr__(self):
-        return "Measure(lebesgue)" if self.density is None else f"Measure({self.density!r})"
-
-
-LEBESGUE = Measure()
-
-
-def _piece_masses(f, m):
-    """The ``m``-mass of each of f's pieces."""
-    return np.diff(m.cumulative(f.breakpoints))
+        return f"{type(self).__name__}({self.density!r})"
 
 
 def integrate(f, m):
@@ -300,15 +285,20 @@ def integrate(f, m):
     ``1 - exp(-t)`` for the exponential one, so the sum is rounded: the
     difference cancels on small far pieces.  Returns ``inf`` when the
     integrand is infinite on a set of positive mass; pieces of zero mass
-    contribute nothing regardless of their value.
+    contribute nothing regardless of their value.  Raises
+    :class:`NormOverflowError` when the sum of finite terms overflows.
     """
     if f.values.size == 0:
         return 0.0
-    masses = _piece_masses(f, m)
+    masses = m.piece_masses(f.breakpoints)
     live = masses > 0
     if np.any(np.isinf(f.values) & live):
         return math.inf
-    return float(np.dot(f.values[live], masses[live]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.dot(f.values[live], masses[live]))
+    if not math.isfinite(total):
+        raise NormOverflowError("the integral overflows the float range")
+    return total
 
 
 def distribution(f, m):
@@ -321,7 +311,7 @@ def distribution(f, m):
         raise ValidationError("distribution requires a non-negative function")
     if f.values.size == 0:
         return StepFunction.zero()
-    masses = _piece_masses(f, m)
+    masses = m.piece_masses(f.breakpoints)
     live = (f.values > 0) & (masses > 0)
     if np.any(np.isinf(f.values) & live):
         raise ValidationError(
@@ -374,7 +364,7 @@ def rearrange(f, m):
 
 def ess_sup(f, m):
     """Essential supremum of ``f`` with respect to ``m``."""
-    masses = _piece_masses(f, m)
+    masses = m.piece_masses(f.breakpoints)
     live = masses > 0
     return float(np.max(f.values[live])) if np.any(live) else 0.0
 

@@ -63,8 +63,8 @@ from .norms import (
     power,
 )
 from .stepfn import (
-    EXPONENTIAL_DENSITY,
     LEBESGUE,
+    DensityMeasure,
     Measure,
     StepFunction,
     distribution,
@@ -173,8 +173,8 @@ def _random_measure(rng):
     if roll < 0.4:
         return LEBESGUE
     if roll < 0.5:
-        return Measure(EXPONENTIAL_DENSITY)
-    return Measure(random_step_function(rng, max_pieces=4))
+        return ExpWeight()
+    return DensityMeasure(random_step_function(rng, max_pieces=4))
 
 
 def _step_instance(rng):
@@ -276,8 +276,8 @@ def _diag_shrink_candidates(inst):
                 continue
             small_a = Operator.from_diagonal(small, entries[keep])
             yield WeightedContext(small, ctx.weight), small_a, *rest
-    dens = ctx.weight.density
-    if isinstance(dens, StepFunction) and dens.piece_count > 1:
+    if isinstance(ctx.weight, StepWeight) and ctx.weight.density.piece_count > 1:
+        dens = ctx.weight.density
         try:  # drop the last density step
             smaller = StepWeight(StepFunction(dens.breakpoints[:-1], dens.values[:-1]))
         except ValidationError:
@@ -324,15 +324,6 @@ class _Row:
     max_trials: int | None = None
 
 
-def _measure_to_obj(m):
-    """A measure in the weight JSON form, keyed on its density."""
-    if m.density is None:
-        return {"kind": "lebesgue"}
-    if isinstance(m.density, StepFunction):
-        return {"kind": "step", "mu": formats.step_to_obj(m.density)}
-    return {"kind": "exp"}
-
-
 def _counterexample(row, inst, r):
     out, detail = {}, {}
     for name, value in zip(row.describe, inst):
@@ -343,7 +334,7 @@ def _counterexample(row, inst, r):
         elif isinstance(value, StepFunction):
             detail[name] = formats.step_to_obj(value)
         elif isinstance(value, Measure):
-            detail[name] = _measure_to_obj(value)
+            detail[name] = formats.weight_to_obj(value)
         elif isinstance(value, np.ndarray):
             detail[name] = value.tolist()
         else:
@@ -655,11 +646,10 @@ def _lp_quadrature(inst):
     mu = singular_value_function(a)
     # midpoint quadrature on the refined grid; exact for step data
     grid = mu.breakpoints
-    dens = ctx.weight.density
-    if isinstance(dens, StepFunction):
-        grid = np.union1d(grid, dens.breakpoints)
+    if isinstance(ctx.weight, StepWeight):
+        grid = np.union1d(grid, ctx.weight.density.breakpoints)
     levels = mu(0.5 * (grid[:-1] + grid[1:]))
-    masses = ctx.weight.interval_mass(grid[:-1], grid[1:])
+    masses = ctx.weight.piece_masses(grid)
     worst = 0.0
     for p in (1.0, 2.0, 3.0):
         quad = float(np.dot(levels**p, masses)) ** (1.0 / p)

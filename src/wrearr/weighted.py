@@ -1,12 +1,15 @@
 """Weights, the weighted trace functional, and weighted rearrangements.
 
-A weight is the measure its decreasing density ``mu(x)`` defines: a
-:class:`~wrearr.stepfn.Measure`, passed wherever a measure is expected.  The
-weighted functional integrates singular value functions against it, and the
-weighted rearrangement is the decreasing rearrangement with respect to it.
-The weighted distribution gives a second route to it, its generalized
-inverse, and the exhaustive projection search a ground truth for diagonal
-operators; ``wrearr verify`` compares the three.
+A weight is the measure its decreasing density ``mu(x)`` defines, passed
+wherever a measure is expected.  Of the three measure kinds two are weights:
+:class:`StepWeight`, a :class:`~wrearr.stepfn.DensityMeasure` whose step
+density is non-increasing, and :class:`ExpWeight`, the exponential measure
+itself; Lebesgue measure is none.  The weighted functional integrates
+singular value functions against it, and the weighted rearrangement is the
+decreasing rearrangement with respect to it.  The weighted distribution
+gives a second route to it, its generalized inverse, and the exhaustive
+projection search a ground truth for diagonal operators; ``wrearr verify``
+compares the three.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ import numpy as np
 from .algebra import singular_value_function
 from .errors import ValidationError
 from .stepfn import (
-    EXPONENTIAL_DENSITY,
     LEBESGUE,
+    DensityMeasure,
     Measure,
-    StepFunction,
     distribution,
     integrate,
     rearrange,
@@ -50,14 +52,12 @@ class Weight(Measure):
     __slots__ = ()
 
 
-class StepWeight(Weight):
+class StepWeight(DensityMeasure, Weight):
     """Weight given by a non-increasing step density."""
 
     __slots__ = ()
 
     def __init__(self, density):
-        if not isinstance(density, StepFunction):
-            raise ValidationError("step weight needs a StepFunction density")
         if density.is_zero():
             raise ValidationError("weight must be non-zero")
         if not density.is_nonincreasing():
@@ -73,17 +73,15 @@ class StepWeight(Weight):
         out = np.interp(uu, self._cum, self._knots)
         return float(out) if uu.ndim == 0 else out
 
-    def __repr__(self):
-        return f"StepWeight({self.density!r})"
-
 
 class ExpWeight(Weight):
-    """The closed-form weight with density exp(-t)."""
+    """The exponential measure: the weight with density exp(-t)."""
 
     __slots__ = ()
 
-    def __init__(self):
-        super().__init__(EXPONENTIAL_DENSITY)
+    def _cumulative(self, t):
+        # integral of exp(-s) over [0, t) = 1 - exp(-t), exact via expm1
+        return -np.expm1(-t)
 
     def cumulative_inverse(self, u):
         uu = np.asarray(u, dtype=float)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -15,6 +16,7 @@ from wrearr import (
     StepWeight,
     ValidationError,
 )
+import wrearr.verify as verify_mod
 from wrearr import formats
 from wrearr.cli import main
 from wrearr.generate import random_matrix_algebra, random_operator, rng_from_seed
@@ -247,6 +249,26 @@ class TestCliErrors:
         assert "float range" in capsys.readouterr().err
         assert main(args + ["--norm", "orlicz:cosh-1"]) == 0
 
+    def test_weighted_trace_beyond_the_float_range_exits_3(self, capsys, tmp_path):
+        # each term of the weighted trace is finite, their sum is not; L1 by
+        # route A is the same quantity
+        op, weight = tmp_path / "op.json", tmp_path / "weight.json"
+        op.write_text(
+            json.dumps(
+                {
+                    "algebra": {"kind": "matrix", "blocks": [2], "weights": [3e35]},
+                    "blocks": [[7.9e298, 1e298, 2e298, 5e298]],
+                }
+            )
+        )
+        mu = {"breakpoints": [0, 1.7e-227, 1.8e-141, 5.2e81], "values": [9.2e203, 4.0e193, 1.7e-151]}
+        weight.write_text(json.dumps({"kind": "step", "mu": mu}))
+        args = ["--input", str(op), "--weight", str(weight)]
+        assert main(["taux", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "float range" in captured.err
+        assert main(["norm", *args, "--norm", "L1"]) == 3
+
     def test_wrong_block_shape_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "op.json"
         bad.write_text(
@@ -319,6 +341,21 @@ class TestVerifyCommand:
 
     def test_zero_trials(self, capsys):
         assert main(["verify", "--seed", "42", "--trials", "0"]) == 0
+
+    def test_infinite_residual_is_written_as_strict_json(self, capsys, monkeypatch):
+        registry = list(verify_mod._REGISTRY)
+        registry[0] = dataclasses.replace(registry[0], residual=lambda inst: math.inf)
+        monkeypatch.setattr(verify_mod, "_REGISTRY", registry)
+        assert main(["verify", "--seed", "1", "--trials", "1"]) == 1
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("counterexample ")]
+        assert len(lines) == 1
+        payload = json.loads(lines[0][len("counterexample ") :], parse_constant=reject)
+        assert payload["property"] == registry[0].name
+        assert payload["worst_residual"] == payload["detail"]["residual"] == "inf"
 
     def test_corrupted_weight_hits_validation_before_verification(self, capsys, tmp_path):
         bad = tmp_path / "weight.json"

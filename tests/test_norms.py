@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrearr import (
-    EXPONENTIAL_DENSITY,
     LEBESGUE,
     Algebra,
+    DensityMeasure,
     ExpWeight,
-    Measure,
     NormOverflowError,
     NormSpec,
     OrliczFunction,
@@ -45,8 +44,8 @@ CTX_312 = WeightedContext(M3, StepWeight(StepFunction([0, 1, 3], [2.0, 1.0])))
 LINF = NormSpec.lp(math.inf).psi
 ALL_PSIS = [power(1), power(2), power(3), cosh_minus_one(), l_log_l(), capped(1.0), LINF]
 # null on [1, 2) and beyond 3, so pieces there carry no mass
-GAPPED = Measure(StepFunction([0, 1, 2, 3], [2.0, 0.0, 1.0]))
-EXP = Measure(EXPONENTIAL_DENSITY)
+GAPPED = DensityMeasure(StepFunction([0, 1, 2, 3], [2.0, 0.0, 1.0]))
+EXP = ExpWeight()
 # infinite at every u > 0, so only functions vanishing almost everywhere are members
 ZERO_THRESHOLD = OrliczFunction("zero-threshold", lambda u: np.where(u > 0, math.inf, 0.0), 0.0)
 
@@ -239,7 +238,7 @@ class TestLuxemburgNorm:
                 )
 
     def test_null_support_has_zero_norm(self):
-        m = Measure(StepFunction([0, 1], [1.0]))
+        m = DensityMeasure(StepFunction([0, 1], [1.0]))
         f = StepFunction([0, 2, 3], [0.0, 5.0])  # lives where the density vanishes
         assert luxemburg_norm(power(2), f, m) == 0.0
 
@@ -278,7 +277,7 @@ class TestLuxemburgNorm:
     @pytest.mark.parametrize("psi", [cosh_minus_one(), l_log_l()], ids=lambda p: p.name)
     def test_huge_value_on_a_null_piece_is_ignored(self, psi):
         # mass 1 at level 1 on [0, 1) and on [2, 3); 1e19 sits where the density vanishes
-        m = Measure(StepFunction([0, 1, 2, 3], [1.0, 0.0, 1.0]))
+        m = DensityMeasure(StepFunction([0, 1, 2, 3], [1.0, 0.0, 1.0]))
         f = StepFunction([0, 1, 2, 3], [1.0, 1e19, 1.0])
         lam = luxemburg_norm(psi, f, m)
         assert 2.0 * psi(1.0 / lam) == pytest.approx(1.0, rel=1e-9)
@@ -409,7 +408,7 @@ class TestLpNorm:
     def test_matches_quadrature(self):
         rng = rng_from_seed(99)
         dens = StepFunction([0, 1, 3], [2.0, 1.0])
-        m = Measure(dens)
+        m = DensityMeasure(dens)
         for _ in range(20):
             k = rng.integers(1, 5)
             f = StepFunction(
@@ -426,7 +425,7 @@ class TestLpNorm:
     def test_sup_norm_respects_measure(self):
         dens = StepFunction([0, 1], [1.0])
         f = StepFunction([0, 1, 2], [1.0, 7.0])
-        assert luxemburg_norm(LINF, f, Measure(dens)) == 1.0
+        assert luxemburg_norm(LINF, f, DensityMeasure(dens)) == 1.0
         assert luxemburg_norm(LINF, f, LEBESGUE) == 7.0
 
     @pytest.mark.parametrize("m", [GAPPED, EXP], ids=["step", "exp"])
@@ -435,7 +434,7 @@ class TestLpNorm:
     @settings(max_examples=40, deadline=None)
     def test_is_the_luxemburg_norm_of_the_spec_function(self, p, m, f):
         # the textbook Lp norm over the pieces of positive mass
-        masses = m.interval_mass(f.breakpoints[:-1], f.breakpoints[1:])
+        masses = m.piece_masses(f.breakpoints)
         levels, masses = f.values[masses > 0], masses[masses > 0]
         if math.isinf(p):
             expected = levels.max(initial=0.0)
@@ -563,7 +562,7 @@ class TestMembership:
     @pytest.mark.parametrize("psi", ALL_PSIS, ids=lambda p: p.name)
     def test_infinite_only_on_a_null_piece_is_a_member(self, psi):
         # inf sits on [1, 2), where the density vanishes, so no atom carries it
-        m = Measure(StepFunction([0, 1, 2, 3], [1.0, 0.0, 1.0]))
+        m = DensityMeasure(StepFunction([0, 1, 2, 3], [1.0, 0.0, 1.0]))
         f = StepFunction([0, 1, 2, 3], [1.0, math.inf, 2.0])
         assert norms._has_finite_modular(psi, f, m)
         assert math.isfinite(luxemburg_norm(psi, f, m))

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrearr import (
-    EXPONENTIAL_DENSITY,
     LEBESGUE,
-    Measure,
+    DensityMeasure,
+    ExpWeight,
+    NormOverflowError,
     StepFunction,
+    StepWeight,
     ValidationError,
     distribution,
     ess_sup,
@@ -20,12 +22,11 @@ from wrearr import (
     step_equal,
     step_mul,
 )
-from wrearr.stepfn import _piece_masses
 
 THREE_STEP = StepFunction([0, 1, 2, 3], [3, 2, 1])
 DENSITY_21 = StepFunction([0, 1, 3], [2, 1])
-WEIGHTED = Measure(DENSITY_21)
-EXP = Measure(EXPONENTIAL_DENSITY)
+WEIGHTED = DensityMeasure(DENSITY_21)
+EXP = ExpWeight()
 
 
 def riemann_refinement_integral(f, density, upper=math.inf):
@@ -43,7 +44,7 @@ def superlevel_measure(f, m, level):
     total = 0.0
     for a, b, v in f.pieces():
         if v >= level:
-            total += m.interval_mass(a, b)
+            total += m.cumulative(b) - m.cumulative(a)
     return total
 
 
@@ -131,9 +132,9 @@ class TestConstruction:
 
 class TestMeasure:
     def test_lebesgue_interval_mass(self):
-        assert LEBESGUE.interval_mass(1.0, 4.0) == 3.0
-        assert LEBESGUE.interval_mass(2.0, 2.0) == 0.0
-        assert LEBESGUE.interval_mass(0.0, math.inf) == math.inf
+        assert LEBESGUE.piece_masses([1.0, 4.0]).tolist() == [3.0]
+        assert LEBESGUE.piece_masses([2.0, 2.0]).tolist() == [0.0]
+        assert LEBESGUE.piece_masses([0.0, math.inf]).tolist() == [math.inf]
 
     def test_step_density_cumulative_is_piecewise_linear(self):
         assert WEIGHTED.cumulative(0.5) == 1.0
@@ -142,36 +143,47 @@ class TestMeasure:
         assert WEIGHTED.cumulative(math.inf) == 4.0
 
     def test_exponential_density_closed_form(self):
-        assert EXP.interval_mass(0.0, math.inf) == pytest.approx(1.0, abs=1e-15)
-        assert EXP.interval_mass(1.0, 2.0) == pytest.approx(math.exp(-1) - math.exp(-2), abs=1e-15)
+        whole, far = EXP.piece_masses([0.0, math.inf]), EXP.piece_masses([1.0, 2.0])
+        assert whole[0] == pytest.approx(1.0, abs=1e-15)
+        assert far[0] == pytest.approx(math.exp(-1) - math.exp(-2), abs=1e-15)
 
     def test_rejects_bad_density(self):
         with pytest.raises(ValidationError):
-            Measure(StepFunction([0, 1, 2], [1.0, -1.0]))
+            DensityMeasure(StepFunction([0, 1, 2], [1.0, -1.0]))
         with pytest.raises(ValidationError):
-            Measure(StepFunction([0, 1], [math.inf]))
+            DensityMeasure(StepFunction([0, 1], [math.inf]))
 
 
 class TestPieceMasses:
+    """Each kind's piece masses are its cumulative mass at a piece's end less
+    that at its start, computed one piece at a time."""
+
     # breakpoints 0, 0.3, 1, 2.5, 4, 7.25, cut at `upper`: inside a piece, at a
     # breakpoint, past the support, and not at all
     F = StepFunction([0, 0.3, 1, 2.5, 4, 7.25], [1.0, 2.0, 0.5, 3.0, 1.5])
+    KINDS = pytest.mark.parametrize(
+        "m",
+        [LEBESGUE, WEIGHTED, EXP, StepWeight(DENSITY_21)],
+        ids=["lebesgue", "step", "exp", "step-weight"],
+    )
+
+    @staticmethod
+    def interval_masses(m, bp):
+        return np.array([m.cumulative(b) - m.cumulative(a) for a, b in zip(bp[:-1], bp[1:])])
 
     @pytest.mark.parametrize("upper", [math.inf, 1.7, 2.5, 0.3, 0.1, 9.0])
-    @pytest.mark.parametrize("m", [LEBESGUE, WEIGHTED, EXP], ids=["lebesgue", "step", "exp"])
+    @KINDS
     def test_equal_to_interval_masses_bit_for_bit(self, m, upper):
         f = self.F if math.isinf(upper) else step_mul(self.F, StepFunction([0, upper], [1.0]))
         bp = f.breakpoints
-        expected = m.interval_mass(bp[:-1], bp[1:])
-        assert np.array_equal(_piece_masses(f, m), expected)
+        assert np.array_equal(m.piece_masses(bp), self.interval_masses(m, bp))
 
-    @pytest.mark.parametrize("m", [LEBESGUE, WEIGHTED, EXP], ids=["lebesgue", "step", "exp"])
+    @KINDS
     @given(f=step_functions(max_pieces=40))
     @settings(max_examples=60, deadline=None)
     def test_equal_to_interval_masses_on_random_functions(self, m, f):
         bp = f.breakpoints
-        expected = m.interval_mass(bp[:-1], bp[1:])
-        assert np.array_equal(_piece_masses(f, m), expected)
+        assert np.array_equal(m.piece_masses(bp), self.interval_masses(m, bp))
 
 
 class TestIntegrate:
@@ -202,6 +214,22 @@ class TestIntegrate:
         # the density vanishes beyond 3, where f is infinite
         f = StepFunction([0, 1, 3, 4], [1.0, 0.0, math.inf])
         assert integrate(f, WEIGHTED) == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "f,m",
+        [
+            # every value and piece mass is finite, but the sum is at least
+            # 1.9e308; the float range ends at 1.8e308, so inf would be wrong
+            (StepFunction([0, 1, 2], [1e308, 0.9e308]), LEBESGUE),
+            (StepFunction([0, 1, 2], [1e308, 0.9e308]), WEIGHTED),
+            # the terms are +-2e308, so the float sum is inf - inf = nan
+            (StepFunction([0, 2, 4], [1e308, -1e308]), LEBESGUE),
+        ],
+        ids=["lebesgue", "step", "signed"],
+    )
+    def test_sum_of_finite_terms_beyond_the_float_range_is_an_error(self, f, m):
+        with pytest.raises(NormOverflowError):
+            integrate(f, m)
 
 
 class TestDistribution:

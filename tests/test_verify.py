@@ -4,7 +4,20 @@ import json
 import numpy as np
 import pytest
 
-from wrearr import Algebra, Operator, StepFunction, StepWeight, ValidationError, WeightedContext, eig
+from wrearr import (
+    LEBESGUE,
+    Algebra,
+    DensityMeasure,
+    ExpWeight,
+    Operator,
+    ParseError,
+    StepFunction,
+    StepWeight,
+    ValidationError,
+    WeightedContext,
+    eig,
+    formats,
+)
 from wrearr.algebra import MAX_BLOCK_SIZE
 from wrearr.cli import main
 from wrearr.generate import random_operator
@@ -114,6 +127,28 @@ def test_every_row_writes_a_counterexample_naming_each_field(monkeypatch, index)
     assert len(row.describe) == len(instance)
     keys = [k for k in payload if k != "detail"] + [k for k in payload["detail"] if k != "residual"]
     assert sorted(keys) == sorted(row.describe)
+
+
+@pytest.mark.parametrize(
+    "measure,expected",
+    [
+        (LEBESGUE, {"kind": "lebesgue"}),
+        (ExpWeight(), {"kind": "exp"}),
+        (DensityMeasure(StepFunction([0, 1, 2], [3.0, 1.0])),
+         {"kind": "step", "mu": {"breakpoints": [0.0, 1.0, 2.0], "values": [3.0, 1.0]}}),
+    ],
+    ids=["lebesgue", "exp", "step"],
+)
+def test_step_counterexample_renders_each_measure_kind_as_weight_json(measure, expected):
+    row = next(r for r in verify_mod._REGISTRY if r.name == "step-distribution-shape")
+    f = StepFunction([0, 1], [2.0])
+    payload = json.loads(json.dumps(verify_mod._counterexample(row, (f, measure), 1.0)))
+    assert payload["detail"]["measure"] == expected == formats.weight_to_obj(measure)
+    if expected["kind"] == "lebesgue":
+        with pytest.raises(ParseError):
+            formats.parse_weight(expected)
+    else:
+        assert formats.weight_to_obj(formats.parse_weight(expected)) == expected
 
 
 ROUTE_ROWS = ("oracle-matches-weighted-rearrangement", "weighted-rearrangement-shape")
