@@ -14,7 +14,7 @@ import numpy as np
 
 from .eig import one_sided_svd
 from .errors import ValidationError
-from .stepfn import StepFunction, step_add, step_mul
+from .stepfn import LEBESGUE, StepFunction, _decreasing, integrate, step_add, step_mul
 
 __all__ = [
     "MAX_BLOCK_SIZE",
@@ -163,8 +163,8 @@ class Operator:
                 raise ValidationError("step payload must be a StepFunction")
             if step.support_end > algebra.domain_bound:
                 raise ValidationError("step payload exceeds the algebra's domain bound")
-            if np.any(np.isinf(step.values)):
-                raise ValidationError("step payload must be bounded")
+            if not np.all(np.isfinite(step.values)):
+                raise ValidationError("step payload must be finite")
             self.blocks = None
             self.step = step
 
@@ -285,8 +285,7 @@ class Operator:
             return float(
                 sum(w * np.trace(b) for w, b in zip(self.algebra.trace_weights, self.blocks))
             )
-        v = self.step.values
-        return float(np.dot(v, np.diff(self.step.breakpoints))) if v.size else 0.0
+        return integrate(self.step, LEBESGUE)
 
     def __abs__(self):
         return absolute(self)
@@ -369,27 +368,20 @@ def singular_value_function(a):
 
     Each singular value occupies an interval whose length is the trace weight
     of its block; the intervals are laid out in decreasing value order.  For
-    multipliers this is the decreasing rearrangement of |payload|, one sort.
+    multipliers this is the decreasing rearrangement of |payload|: the same
+    sort, of the absolute values on their piece lengths.
 
     Built once per operator: the result is kept on ``a`` and returned by
     every later call.
     """
     if a._svf is None:
-        a._svf = _singular_value_function(a)
+        if a.is_matrix:
+            levels = np.concatenate([s for s, _ in a._block_svd()])
+            masses = a.algebra.coordinate_weights()
+        else:
+            levels, masses = np.abs(a.step.values), np.diff(a.step.breakpoints)
+        a._svf = _decreasing(levels, masses)
     return a._svf
-
-
-def _singular_value_function(a):
-    if a.is_matrix:
-        values = np.concatenate([s for s, _ in a._block_svd()])
-        widths = a.algebra.coordinate_weights()
-    else:
-        values = np.abs(a.step.values)
-        widths = np.diff(a.step.breakpoints)
-    order = np.argsort(-values, kind="stable")
-    return StepFunction._raw(
-        np.concatenate([[0.0], np.cumsum(widths[order])]), values[order]
-    )
 
 
 def spectral_projection(a, threshold):

@@ -4,7 +4,11 @@ The whole calculus runs on one representation: a right-continuous step
 function that vanishes beyond its last breakpoint.  Distribution functions,
 decreasing rearrangements, weight densities and Orlicz modulars are all
 of this form, so integration and rearrangement reduce to finite sums over
-breakpoint refinements.  A :class:`Measure` is one of three kinds, each
+breakpoint refinements.  A decreasing rearrangement is one stable sort of
+the levels on pieces of positive mass, with their masses laid end to end
+from 0; the distribution function is its generalized inverse, and the
+singular value function mu(a) is the same sort of the singular values on
+their trace weights.  A :class:`Measure` is one of three kinds, each
 owning its cumulative mass ``W`` and so its piece masses: Lebesgue measure
 (``W(t) = t``), a :class:`DensityMeasure` with a step density (``W``
 piecewise linear) and the exponential weight (``W(t) = 1 - exp(-t)``).  The
@@ -301,39 +305,45 @@ def integrate(f, m):
     return total
 
 
+def _decreasing(levels, masses, total=math.inf):
+    """The decreasing step function that takes each level on its mass.
+
+    One stable sort of the levels, descending, with their masses laid end to
+    end from 0; the running sum is capped at ``total``, which it can round
+    above.  Canonical form merges tied levels and drops the zero tail.
+    """
+    order = np.argsort(-levels, kind="stable")
+    ends = np.minimum(np.cumsum(masses[order]), total)
+    return StepFunction._raw(np.concatenate([[0.0], ends]), levels[order])
+
+
+def rearrange(f, m):
+    """Decreasing rearrangement of a non-negative ``f`` with respect to ``m``.
+
+    Equimeasurable with ``f``: the Lebesgue distribution of the result equals
+    the ``m``-distribution of ``f``.  Values carried by ``m``-null sets
+    disappear.
+    """
+    if not f.is_nonnegative():
+        raise ValidationError("rearrangement and distribution need a non-negative function")
+    masses = m.piece_masses(f.breakpoints)
+    live = masses > 0
+    if np.any(np.isinf(f.values) & live):
+        raise ValidationError(
+            "function is infinite on a set of positive mass; its rearrangement "
+            "and distribution are not eventually-zero step functions"
+        )
+    return _decreasing(f.values[live], masses[live], m.total())
+
+
 def distribution(f, m):
     """Distribution function ``t -> m({s : f(s) > t})`` of a non-negative f.
 
-    The result is a non-increasing, right-continuous step function of the
-    threshold ``t``, with jumps at the distinct values of ``f``.
+    The generalized inverse of :func:`rearrange`: a non-increasing,
+    right-continuous step function of the threshold ``t``, with jumps at the
+    distinct values of ``f``.
     """
-    if not f.is_nonnegative():
-        raise ValidationError("distribution requires a non-negative function")
-    if f.values.size == 0:
-        return StepFunction.zero()
-    masses = m.piece_masses(f.breakpoints)
-    live = (f.values > 0) & (masses > 0)
-    if np.any(np.isinf(f.values) & live):
-        raise ValidationError(
-            "function is infinite on a set of positive mass; "
-            "its distribution is not an eventually-zero step function"
-        )
-    if not live.any():
-        return StepFunction.zero()
-    v = f.values[live]
-    w = masses[live]
-    order = np.argsort(-v)
-    v = v[order]
-    w = w[order]
-    cum = np.minimum(np.cumsum(w), m.total())  # the running sum can round above m's total
-    # one entry per distinct value: total mass where f >= that value
-    last_of_run = np.ones(v.size, dtype=bool)
-    last_of_run[:-1] = v[1:] != v[:-1]
-    levels_desc = v[last_of_run]
-    mass_ge_desc = cum[last_of_run]
-    levels = levels_desc[::-1]
-    mass_ge = mass_ge_desc[::-1]
-    return StepFunction._raw(np.concatenate([[0.0], levels]), mass_ge)
+    return generalized_inverse(rearrange(f, m))
 
 
 def generalized_inverse(d):
@@ -350,16 +360,6 @@ def generalized_inverse(d):
     return StepFunction._raw(
         np.concatenate([[0.0], heights[::-1]]), piece_ends[::-1]
     )
-
-
-def rearrange(f, m):
-    """Decreasing rearrangement of ``f`` with respect to ``m``.
-
-    Equimeasurable with ``f``: the Lebesgue distribution of the result equals
-    the ``m``-distribution of ``f``.  Values carried by ``m``-null sets
-    disappear.
-    """
-    return generalized_inverse(distribution(f, m))
 
 
 def ess_sup(f, m):

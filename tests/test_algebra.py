@@ -11,6 +11,7 @@ from wrearr import (
     Algebra,
     ExpWeight,
     InfiniteValueError,
+    NormOverflowError,
     NormSpec,
     Operator,
     Projection,
@@ -93,6 +94,12 @@ class TestAlgebraValidation:
         interval = Algebra.commutative(1.0)
         with pytest.raises(ValidationError):
             Operator(interval, step=StepFunction([0, 2], [1.0]))
+        f = StepFunction([0, 0.5, 1], [1.0, -0.5])
+        a = Operator.multiplier(interval, f)
+        for make in (lambda: math.nan * a, lambda: a * math.nan,
+                     lambda: Operator.multiplier(interval, f.scaled(math.nan))):
+            with pytest.raises(ValidationError, match="finite"):
+                make()
 
     def test_mixing_algebras_rejected(self):
         a = Operator.identity(M2)
@@ -111,6 +118,8 @@ class TestOperatorArithmetic:
         interval = Algebra.commutative(3.0)
         op = Operator.multiplier(interval, StepFunction([0, 1, 3], [2.0, -1.0]))
         assert op.trace() == pytest.approx(2.0 - 2.0)
+        with pytest.raises(NormOverflowError):
+            Operator.multiplier(interval, StepFunction([0, 3], [1e308])).trace()
 
     def test_norm(self):
         assert Operator.from_diagonal(M2, [3.0, -4.0]).norm() == pytest.approx(4.0)

@@ -57,10 +57,10 @@ def scan_inverse(d, t):
 
 
 @st.composite
-def step_functions(draw, max_pieces=5, max_value=5.0):
+def step_functions(draw, max_pieces=5, levels=st.floats(0.0, 5.0)):
     k = draw(st.integers(1, max_pieces))
     widths = draw(st.lists(st.floats(0.1, 2.0), min_size=k, max_size=k))
-    values = draw(st.lists(st.floats(0.0, max_value), min_size=k, max_size=k))
+    values = draw(st.lists(levels, min_size=k, max_size=k))
     return StepFunction(np.concatenate([[0.0], np.cumsum(widths)]), values)
 
 
@@ -247,12 +247,14 @@ class TestDistribution:
         assert distribution(StepFunction.zero(), LEBESGUE).is_zero()
 
     def test_rejects_negative_values(self):
-        with pytest.raises(ValidationError):
-            distribution(StepFunction([0, 1], [-1.0]), LEBESGUE)
+        for entry in (distribution, rearrange):
+            with pytest.raises(ValidationError, match="non-negative"):
+                entry(StepFunction([0, 1], [-1.0]), LEBESGUE)
 
     def test_rejects_infinite_value_on_positive_mass(self):
-        with pytest.raises(ValidationError):
-            distribution(StepFunction([0, 1], [math.inf]), LEBESGUE)
+        for entry in (distribution, rearrange):
+            with pytest.raises(ValidationError, match="positive mass"):
+                entry(StepFunction([0, 1], [math.inf]), LEBESGUE)
 
     def test_infinite_value_on_null_set_is_invisible(self):
         f = StepFunction([0, 1, 3, 4], [2.0, 1.0, math.inf])
@@ -299,15 +301,24 @@ class TestRearrange:
         with pytest.raises(ValidationError):
             generalized_inverse(StepFunction([0, 1, 2], [1.0, 2.0]))
 
-    @given(step_functions())
+    @given(step_functions(levels=st.sampled_from([0.0, 0.5, 1.0, 2.5])))
     @settings(max_examples=60)
     def test_equimeasurable_under_lebesgue(self, f):
-        r = rearrange(f, LEBESGUE)
-        assert r.is_nonincreasing()
-        d_f = distribution(f, LEBESGUE)
-        d_r = distribution(r, LEBESGUE)
-        grid = np.union1d(d_f.breakpoints, d_r.breakpoints)
-        assert np.allclose(d_f(grid), d_r(grid), atol=1e-10)
+        # few levels, so ties need not be neighbours; the density vanishes on [1, 2)
+        holed = DensityMeasure(StepFunction([0, 1, 2, 4], [2.0, 0.0, 1.0]))
+        for m in (LEBESGUE, holed, EXP):
+            r = rearrange(f, m)
+            assert r.is_nonincreasing()
+            d_f = distribution(f, m)
+            d_r = distribution(r, LEBESGUE)
+            grid = np.union1d(d_f.breakpoints, d_r.breakpoints)
+            assert np.allclose(d_f(grid), d_r(grid), atol=1e-10)
+            # distribution shares rearrange's sort; the superlevel sets do not
+            for level in f.values[f.values > 0]:
+                assert superlevel_measure(r, LEBESGUE, level) == pytest.approx(
+                    superlevel_measure(f, m, level), abs=1e-10
+                )
+            assert integrate(r, LEBESGUE) == pytest.approx(integrate(f, m), rel=1e-12, abs=1e-12)
 
     def test_integral_preserved_on_random_inputs(self):
         rng = np.random.default_rng(23)
