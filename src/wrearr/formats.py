@@ -11,8 +11,9 @@ or, for multipliers,
      "step": {"breakpoints": [0.0, 2.0], "values": [1.0]}}
 
 Weight files are {"kind": "step", "mu": {...}} or {"kind": "exp"}.  A
-counterexample may also name Lebesgue measure, {"kind": "lebesgue"}, which is
-no weight and which ``parse_weight`` rejects.
+counterexample may also name Lebesgue measure, {"kind": "lebesgue"}, or a step
+density that is not non-increasing; neither is a weight, so ``parse_weight``
+rejects them and ``parse_measure`` reads them.
 Step functions always serialize as {"breakpoints": [...], "values": [...]}.
 """
 
@@ -36,6 +37,7 @@ __all__ = [
     "parse_operator",
     "weight_to_obj",
     "parse_weight",
+    "parse_measure",
     "write_step_csv",
 ]
 
@@ -167,6 +169,20 @@ def parse_weight(obj, where="weight"):
     if kind == "exp":
         return ExpWeight()
     raise ParseError(f"{where}: unknown weight kind {kind!r}")
+
+
+def parse_measure(obj, where="measure"):
+    """A measure of any of the three kinds, as :func:`weight_to_obj` writes
+    it: Lebesgue measure, a non-negative step density of finite mass, or the
+    exponential weight."""
+    kind = _require(obj, "kind", str, where)
+    if kind == "lebesgue":
+        return LEBESGUE
+    if kind == "step":
+        return DensityMeasure(parse_step(_require(obj, "mu", dict, where), f"{where}.mu"))
+    if kind == "exp":
+        return ExpWeight()
+    raise ParseError(f"{where}: unknown measure kind {kind!r}")
 
 
 def write_step_csv(f, stream):

@@ -11,6 +11,7 @@ and their agreement is one of the package's central machine-checked facts.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -48,7 +49,9 @@ class OrliczFunction:
     yields ``inf``.  ``atom_norm(levels, masses)``, when given, returns the
     Luxemburg norm in closed form from a function's levels on its pieces of
     positive mass, finite and not all zero, and those masses; without it
-    :func:`luxemburg_norm` finds the norm by a bracketed Illinois search.
+    :func:`luxemburg_norm` finds the norm by a bracketed Anderson–Björck
+    search.  The builtins are built once per parameter and shared, so they
+    are never to be modified.
     """
 
     __slots__ = ("name", "_fn", "finite_threshold", "atom_norm")
@@ -93,19 +96,28 @@ def power(p):
     p = float(p)
     if not p >= 1:
         raise ValidationError("power exponent must be >= 1")
+    return _power(p)
+
+
+@functools.lru_cache(maxsize=64)
+def _power(p):
     return OrliczFunction(
         f"pow:{p:g}", lambda u: u**p, atom_norm=lambda v, m: _power_norm(v, m, p)
     )
 
 
+_COSH_MINUS_ONE = OrliczFunction("cosh-1", lambda u: 2.0 * np.sinh(u / 2.0) ** 2)
+_L_LOG_L = OrliczFunction("llogl", lambda u: u * np.log1p(u))
+
+
 def cosh_minus_one():
     """u -> cosh(u) - 1, evaluated cancellation-free."""
-    return OrliczFunction("cosh-1", lambda u: 2.0 * np.sinh(u / 2.0) ** 2)
+    return _COSH_MINUS_ONE
 
 
 def l_log_l():
     """u -> u * log(u + 1)."""
-    return OrliczFunction("llogl", lambda u: u * np.log1p(u))
+    return _L_LOG_L
 
 
 def capped(bound):
@@ -116,7 +128,11 @@ def capped(bound):
     b = float(bound)
     if not (b > 0 and math.isfinite(b)):
         raise ValidationError("cap must be positive and finite")
+    return _capped(b)
 
+
+@functools.lru_cache(maxsize=64)
+def _capped(b):
     def atom_norm(levels, masses):
         # a finite modular needs every v / lam <= b, and is then sum(m v) / lam
         return max(float(levels.max()) / b, float(np.dot(levels, masses)))
@@ -127,6 +143,15 @@ def capped(bound):
         finite_threshold=b,
         atom_norm=atom_norm,
     )
+
+
+# 0 on [0, 1] and infinite beyond: its Luxemburg norm is the essential supremum
+_LINF = OrliczFunction(
+    "Linf",
+    lambda u: np.where(u <= 1.0, 0.0, math.inf),
+    finite_threshold=1.0,
+    atom_norm=lambda levels, masses: float(levels.max()),
+)
 
 
 _BUILTIN_FACTORIES = {
@@ -167,15 +192,7 @@ class NormSpec:
         p = float(p)
         if not p >= 1:
             raise ValidationError("Lp norms need p >= 1")
-        if math.isfinite(p):
-            return cls(power(p), p)
-        sup = OrliczFunction(
-            "Linf",
-            lambda u: np.where(u <= 1.0, 0.0, math.inf),
-            finite_threshold=1.0,
-            atom_norm=lambda levels, masses: float(levels.max()),
-        )
-        return cls(sup, p)
+        return cls(power(p) if math.isfinite(p) else _LINF, p)
 
     @classmethod
     def orlicz(cls, psi):
@@ -218,15 +235,21 @@ def modular(psi, f, m):
 
 def _atoms(f, m):
     """The levels of ``|f|`` on its pieces of positive ``m``-mass, and those
-    masses.  A modular of any scaling of ``f`` depends on nothing else.  They
-    are kept on ``f``, read-only, for the last measure object asked for."""
+    masses.  A modular of any scaling of ``f`` depends on nothing else."""
+    return _kept_atoms(f, m)[:2]
+
+
+def _kept_atoms(f, m):
+    """The atoms of ``f`` under ``m`` and their largest level, the essential
+    supremum of ``|f|``.  They are kept on ``f``, read-only, for the last
+    measure object asked for."""
     if f._atoms is None or f._atoms[0] is not m:
         masses = m.piece_masses(f.breakpoints)
         live = masses > 0
         levels, masses = np.abs(f.values[live]), masses[live]
         levels.setflags(write=False)
         masses.setflags(write=False)
-        f._atoms = (m, levels, masses)
+        f._atoms = (m, levels, masses, float(levels.max(initial=0.0)))
     return f._atoms[1:]
 
 
@@ -242,17 +265,16 @@ def luxemburg_norm(psi, f, m):
     membership of ``f`` under ``m`` reads them; the modular at each scale is a
     dot product over them.  ``psi.atom_norm`` gives the norm in closed form
     when set.  Otherwise the bracket grows or shrinks by factors of 2 from
-    the largest live level of ``|f|`` until the modular crosses 1; Illinois
-    steps (regula falsi) on log(modular) against ``1 / lam``, or midpoint
-    steps while an end's modular is 0 or ``inf``, narrow it to a relative
-    width of {width:.1e}, or to adjacent floats when the scale is subnormal,
-    and its upper end is returned.  Returns 0 for functions vanishing
+    the largest live level of ``|f|`` until the modular crosses 1;
+    Anderson–Björck steps (regula falsi) on log(modular) against log(lam),
+    a line for ``u^p``, or midpoint steps while an end's modular is 0 or
+    ``inf``, narrow it to a relative width of {width:.1e}, or to adjacent
+    floats when the scale is subnormal, and its upper end is returned.  Returns 0 for functions vanishing
     ``m``-almost everywhere and ``inf`` when ``f`` is infinite on a set of
     positive mass or ``psi`` is infinite beyond 0.  Raises
     :class:`NormOverflowError` when the least scale exceeds the largest float.
     """
-    levels, masses = _atoms(f, m)
-    sup_ess = float(levels.max(initial=0.0))
+    levels, masses, sup_ess = _kept_atoms(f, m)
     if sup_ess == 0.0:
         return 0.0
     if math.isinf(sup_ess) or psi.finite_threshold == 0.0:
@@ -297,26 +319,35 @@ def _least_scale(fn, levels, masses, sup_ess):
     while hi - lo > LUXEMBURG_RELATIVE_WIDTH * hi:
         mid = lo + 0.5 * (hi - lo)
         if math.isfinite(g_lo) and math.isfinite(g_hi):
-            # the root of log(modular), linear in 1/lam through both ends, kept
+            # the root of log(modular), linear in log(lam) through both ends, kept
             # half the stopping width inside so that the far end moves too
-            inv = 1.0 / hi + (1.0 / lo - 1.0 / hi) * (g_hi / (g_hi - g_lo))
+            secant = hi * math.exp(math.log(lo / hi) * (g_hi / (g_hi - g_lo)))
             margin = 0.5 * LUXEMBURG_RELATIVE_WIDTH * hi
-            secant = min(max(1.0 / inv, lo + margin), hi - margin)
+            secant = min(max(secant, lo + margin), hi - margin)
             if lo < secant < hi:  # not so among the subnormals
                 mid = secant
         if not lo < mid < hi:  # adjacent floats
             break
         g = log_modular(mid)
-        # Illinois: an end kept for a second step in a row has its value halved
+        # Anderson–Björck: an end kept for a second step in a row has its value
+        # scaled by how much the moved end's value shrank, or halved
         if g <= 0.0:
             if replaced == "hi":
-                g_lo *= 0.5
+                g_lo *= _kept_end_factor(g, g_hi)
             hi, g_hi, replaced = mid, g, "hi"
         else:
             if replaced == "lo":
-                g_hi *= 0.5
+                g_hi *= _kept_end_factor(g, g_lo)
             lo, g_lo, replaced = mid, g, "lo"
     return float(hi)
+
+
+def _kept_end_factor(g_new, g_prev):
+    """The Anderson–Björck factor ``1 - g_new / g_prev`` for the end kept while
+    the other end's value went from ``g_prev`` to ``g_new``; ½ where that is
+    not positive or not defined."""
+    factor = 1.0 - g_new / g_prev if g_prev != 0.0 else 0.0
+    return factor if factor > 0.0 else 0.5
 
 
 luxemburg_norm.__doc__ = luxemburg_norm.__doc__.format(width=LUXEMBURG_RELATIVE_WIDTH)
@@ -340,7 +371,7 @@ def _has_finite_modular(psi, f, m):
     level below ``psi.finite_threshold``) and that threshold is positive or
     ``f`` vanishes almost everywhere.
     """
-    sup_ess = float(_atoms(f, m)[0].max(initial=0.0))
+    sup_ess = _kept_atoms(f, m)[2]
     return math.isfinite(sup_ess) and (psi.finite_threshold > 0 or sup_ess == 0.0)
 
 

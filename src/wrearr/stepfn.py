@@ -45,16 +45,19 @@ __all__ = [
 
 
 def _assemble(breakpoints, values):
-    """Canonical form: drop empty pieces, merge equal neighbours, trim zeros."""
+    """Canonical form: drop empty pieces, merge equal neighbours, trim zeros.
+
+    Input already in that form is kept as given, made read-only, so a caller
+    must not write to the arrays it passed in.
+    """
     bp = np.asarray(breakpoints, dtype=float)
     va = np.asarray(values, dtype=float)
     # drop zero-length pieces (refinement may produce duplicate breakpoints)
-    lengths = np.diff(bp)
-    keep = lengths > 0
+    keep = np.diff(bp) > 0
     if not keep.all():
         va = va[keep]
         bp = np.concatenate([bp[:1], bp[1:][keep]])
-    if va.size:
+    if va.size and not (va[-1] != 0.0 and (va[1:] != va[:-1]).all()):
         # merge runs of equal adjacent values
         starts = np.ones(va.size, dtype=bool)
         starts[1:] = va[1:] != va[:-1]
@@ -63,13 +66,9 @@ def _assemble(breakpoints, values):
         ends = np.append(bp[idx[1:]], bp[-1])
         # strip the zero tail; the function is implicitly 0 beyond the end
         nz = np.flatnonzero(merged_vals != 0.0)
-        if nz.size == 0:
-            return np.array([0.0]), np.array([], dtype=float)
-        cut = nz[-1] + 1
+        cut = nz[-1] + 1 if nz.size else 0
         bp = np.concatenate([bp[:1], ends[:cut]])
         va = merged_vals[:cut]
-    else:
-        bp = np.array([0.0])
     bp.setflags(write=False)
     va.setflags(write=False)
     return bp, va
@@ -95,8 +94,10 @@ class StepFunction:
     __slots__ = ("breakpoints", "values", "_atoms")
 
     def __init__(self, breakpoints, values):
-        bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
-        va = np.atleast_1d(np.asarray(values, dtype=float)) if len(values) else np.array([], dtype=float)
+        # copied: _assemble keeps canonical input as given, and the caller may
+        # still write to its own arrays
+        bp = np.atleast_1d(np.array(breakpoints, dtype=float))
+        va = np.atleast_1d(np.array(values, dtype=float)) if len(values) else np.array([], dtype=float)
         if bp.ndim != 1 or va.ndim != 1 or bp.size != va.size + 1:
             raise ValidationError("need k+1 breakpoints for k values")
         if bp[0] != 0.0:
@@ -113,7 +114,7 @@ class StepFunction:
     @classmethod
     def _raw(cls, breakpoints, values):
         # internal fast path: inputs may contain duplicate breakpoints but are
-        # otherwise trusted
+        # otherwise trusted, and the caller writes to neither array afterwards
         obj = object.__new__(cls)
         obj.breakpoints, obj.values = _assemble(breakpoints, values)
         obj._atoms = None

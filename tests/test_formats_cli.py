@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from wrearr import (
+    LEBESGUE,
     Algebra,
+    DensityMeasure,
     ExpWeight,
     Operator,
     ParseError,
@@ -47,6 +49,34 @@ class TestJsonRoundTrips:
         assert back.density == w.density
         exp_back = formats.parse_weight({"kind": "exp"})
         assert isinstance(exp_back, ExpWeight)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            LEBESGUE,
+            ExpWeight(),
+            # no weight: its density rises and vanishes on [1, 2)
+            DensityMeasure(StepFunction([0, 1, 2, 3], [1.0, 0.0, 3.0])),
+        ],
+        ids=["lebesgue", "exp", "step"],
+    )
+    def test_measures(self, measure):
+        obj = formats.weight_to_obj(measure)
+        back = formats.parse_measure(json.loads(json.dumps(obj)))
+        assert type(back) is type(measure)
+        assert formats.weight_to_obj(back) == obj
+        assert np.array_equal(back.piece_masses([0.0, 0.5, 1.5, 2.5, 4.0]),
+                              measure.piece_masses([0.0, 0.5, 1.5, 2.5, 4.0]))
+        if not isinstance(measure, ExpWeight):
+            # parse_weight stays strict: neither is a weight
+            with pytest.raises((ParseError, ValidationError)):
+                formats.parse_weight(obj)
+
+    def test_measure_parse_errors(self):
+        with pytest.raises(ParseError):
+            formats.parse_measure({"kind": "unknown"})
+        with pytest.raises(ValidationError):
+            formats.parse_measure({"kind": "step", "mu": {"breakpoints": [0, 1], "values": [-1.0]}})
 
     def test_canonical_serialization_is_stable(self):
         w = StepWeight(StepFunction([0, 1, 3], [2.0, 1.0]))

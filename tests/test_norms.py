@@ -335,7 +335,7 @@ class TestLeastScaleSearch:
         for f, m in self.INSTANCES:
             calls.append(0)
             luxemburg_norm(psi, f, m)
-        assert np.median(calls) <= 16
+        assert np.median(calls) <= 11
 
     @pytest.mark.parametrize("route", ["a", "b"])
     @pytest.mark.parametrize("psi", SEARCHED_PSIS + [ZERO_THRESHOLD], ids=lambda p: p.name)

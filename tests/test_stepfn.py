@@ -64,6 +64,33 @@ def step_functions(draw, max_pieces=5, levels=st.floats(0.0, 5.0)):
     return StepFunction(np.concatenate([[0.0], np.cumsum(widths)]), values)
 
 
+def canonical_pieces(breakpoints, values):
+    """Pure-Python canonical form: (start, end, value) pieces with the empty
+    ones dropped, equal neighbours merged and the zero tail trimmed."""
+    pieces = []
+    for start, end, v in zip(breakpoints, breakpoints[1:], values):
+        if end == start:
+            continue
+        if pieces and pieces[-1][2] == v:
+            pieces[-1] = (pieces[-1][0], end, v)
+        else:
+            pieces.append((start, end, v))
+    while pieces and pieces[-1][2] == 0.0:
+        pieces.pop()
+    return pieces
+
+
+@st.composite
+def raw_pieces(draw):
+    """Breakpoints and values as the internal constructions pass them: ties,
+    zero tails, zero-length pieces and ``+inf`` all drawn often."""
+    k = draw(st.integers(0, 8))
+    widths = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.5]), min_size=k, max_size=k))
+    level = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.inf]), st.floats(-5.0, 5.0))
+    values = draw(st.lists(level, min_size=k, max_size=k))
+    return np.concatenate([[0.0], np.cumsum(widths)]), np.array(values, dtype=float)
+
+
 class TestConstruction:
     def test_canonical_merges_equal_neighbours(self):
         f = StepFunction([0, 1, 2, 4], [2, 2, 1])
@@ -122,6 +149,27 @@ class TestConstruction:
         for a, _, v in f.pieces():
             assert f(a) == v
         assert f(f.support_end) == 0.0
+
+    @given(raw_pieces())
+    @settings(max_examples=200)
+    def test_canonical_input_is_kept_read_only(self, raw):
+        bp, va = raw
+        f = StepFunction._raw(bp.copy(), va.copy())
+        assert list(f.pieces()) == canonical_pieces(bp.tolist(), va.tolist())
+        assert not f.breakpoints.flags.writeable and not f.values.flags.writeable
+        # canonical arrays go back in unchanged; the constructor keeps its own copy
+        cbp, cva = f.breakpoints.copy(), f.values.copy()
+        g = StepFunction(cbp, cva)
+        assert g == f
+        assert not g.breakpoints.flags.writeable and not g.values.flags.writeable
+        cbp += 1.0
+        cva[:] = 7.0
+        assert g == f
+        # the internal constructor keeps canonical input as given
+        kept_bp, kept_va = f.breakpoints.copy(), f.values.copy()
+        h = StepFunction._raw(kept_bp, kept_va)
+        assert h.breakpoints is kept_bp and h.values is kept_va
+        assert not kept_bp.flags.writeable and not kept_va.flags.writeable
 
     @given(step_functions())
     @settings(max_examples=60)
