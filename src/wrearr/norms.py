@@ -234,15 +234,10 @@ def modular(psi, f, m):
 
 
 def _atoms(f, m):
-    """The levels of ``|f|`` on its pieces of positive ``m``-mass, and those
-    masses.  A modular of any scaling of ``f`` depends on nothing else."""
-    return _kept_atoms(f, m)[:2]
-
-
-def _kept_atoms(f, m):
-    """The atoms of ``f`` under ``m`` and their largest level, the essential
-    supremum of ``|f|``.  They are kept on ``f``, read-only, for the last
-    measure object asked for."""
+    """The levels of ``|f|`` on its pieces of positive ``m``-mass, those
+    masses, and the largest level, the essential supremum of ``|f|``.  A
+    modular of any scaling of ``f`` depends on nothing else.  They are kept
+    on ``f``, read-only, for the last measure object asked for."""
     if f._atoms is None or f._atoms[0] is not m:
         masses = m.piece_masses(f.breakpoints)
         live = masses > 0
@@ -269,12 +264,13 @@ def luxemburg_norm(psi, f, m):
     Anderson–Björck steps (regula falsi) on log(modular) against log(lam),
     a line for ``u^p``, or midpoint steps while an end's modular is 0 or
     ``inf``, narrow it to a relative width of {width:.1e}, or to adjacent
-    floats when the scale is subnormal, and its upper end is returned.  Returns 0 for functions vanishing
-    ``m``-almost everywhere and ``inf`` when ``f`` is infinite on a set of
-    positive mass or ``psi`` is infinite beyond 0.  Raises
-    :class:`NormOverflowError` when the least scale exceeds the largest float.
+    floats when the scale is subnormal, and its upper end is returned.
+    Returns 0 for functions vanishing ``m``-almost everywhere and ``inf`` when
+    ``f`` is infinite on a set of positive mass or ``psi`` is infinite beyond
+    0.  Raises :class:`NormOverflowError` when the least scale exceeds the
+    largest float.
     """
-    levels, masses, sup_ess = _kept_atoms(f, m)
+    levels, masses, sup_ess = _atoms(f, m)
     if sup_ess == 0.0:
         return 0.0
     if math.isinf(sup_ess) or psi.finite_threshold == 0.0:
@@ -371,7 +367,7 @@ def _has_finite_modular(psi, f, m):
     level below ``psi.finite_threshold``) and that threshold is positive or
     ``f`` vanishes almost everywhere.
     """
-    sup_ess = _kept_atoms(f, m)[2]
+    sup_ess = _atoms(f, m)[2]
     return math.isfinite(sup_ess) and (psi.finite_threshold > 0 or sup_ess == 0.0)
 
 

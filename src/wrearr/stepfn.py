@@ -109,7 +109,7 @@ class StepFunction:
         if np.any(np.isnan(va)) or np.any(va == -math.inf):
             raise ValidationError("values must be real or +inf")
         self.breakpoints, self.values = _assemble(bp, va)
-        self._atoms = None  # (measure, levels, masses), kept by the norms
+        self._atoms = None  # (measure, levels, masses, sup_ess), kept by the norms
 
     @classmethod
     def _raw(cls, breakpoints, values):
