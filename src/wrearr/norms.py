@@ -260,7 +260,10 @@ def luxemburg_norm(psi, f, m):
     membership of ``f`` under ``m`` reads them; the modular at each scale is a
     dot product over them.  ``psi.atom_norm`` gives the norm in closed form
     when set.  Otherwise the bracket grows or shrinks by factors of 2 from
-    the largest live level of ``|f|`` until the modular crosses 1;
+    the largest live level of ``|f|`` until the modular crosses 1.  Under a
+    finite ``psi.finite_threshold`` it starts instead at the least scale that
+    brings every level to the threshold or below, which is the norm when its
+    modular is at most 1, and only grows.  Then
     Anderson–Björck steps (regula falsi) on log(modular) against log(lam),
     a line for ``u^p``, or midpoint steps while an end's modular is 0 or
     ``inf``, narrow it to a relative width of {width:.1e}, or to adjacent
@@ -283,28 +286,40 @@ def luxemburg_norm(psi, f, m):
         else:
             # the levels are absolute values, so inside psi's domain [0, inf]:
             # its raw function is evaluated directly, without psi's own check
-            lam = _least_scale(psi._fn, levels, masses, sup_ess)
+            lam = _least_scale(psi._fn, psi.finite_threshold, levels, masses, sup_ess)
     if not math.isfinite(lam):
         raise NormOverflowError(f"the {psi.name} norm exceeds the float range")
     return lam
 
 
-def _least_scale(fn, levels, masses, sup_ess):
+def _least_scale(fn, threshold, levels, masses, sup_ess):
     """The least scale with modular at most 1, or ``inf`` past the largest float."""
 
     def log_modular(lam):
         value = _atom_modular(fn, levels, masses, lam)
         return math.log(value) if value > 0.0 else -math.inf
 
-    # the bracket: halve lo while its modular is at most 1, else double hi
-    lo = hi = sup_ess
-    g_lo = g_hi = log_modular(sup_ess)
-    while g_lo <= 0.0:
-        hi, g_hi = lo, g_lo
-        lo /= 2.0
-        if lo == 0.0:  # hi is the least positive float
-            return hi
+    if math.isfinite(threshold):
+        # below the least float scale with every level / lam <= threshold the
+        # modular is infinite, so the bracket starts there, or at the least
+        # positive float where the quotient underflows
+        lo = max(sup_ess / threshold, math.ulp(0.0))
+        while not sup_ess / lo <= threshold:
+            lo = math.nextafter(lo, math.inf)
         g_lo = log_modular(lo)
+        if g_lo <= 0.0:
+            return lo
+        hi, g_hi = lo, g_lo
+    else:
+        # the bracket: halve lo while its modular is at most 1, else double hi
+        lo = hi = sup_ess
+        g_lo = g_hi = log_modular(sup_ess)
+        while g_lo <= 0.0:
+            hi, g_hi = lo, g_lo
+            lo /= 2.0
+            if lo == 0.0:  # hi is the least positive float
+                return hi
+            g_lo = log_modular(lo)
     while g_hi > 0.0:
         if hi == _FLOAT_MAX:
             return math.inf

@@ -165,3 +165,66 @@ def test_one_sided_svd_rejects_a_column_below_the_float_range_at_once():
                 one_sided_svd(c * (scales + [1.0] * (n - 3)), block_index=2)
             assert err.value.block_index == 2 and err.value.sweeps is None
             assert "subnormal" in str(err.value)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -2.5e-310, 2.0**1000, -(2.0**-1000), -0.75])
+def test_one_by_one_block_is_its_absolute_value(x):
+    # bit for bit the final norms of the general path, which a 2x2 block with
+    # one live column takes
+    s, v = one_sided_svd([[x]])
+    general = one_sided_svd(np.diag([x, 0.0]))[0][:1]
+    assert s.shape == (1,) and s.tobytes() == general.tobytes() == np.float64(abs(x)).tobytes()
+    assert v.shape == (1, 1) and v[0, 0] == 1.0
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of pair tests and rotations over both row kernels."""
+    calls = {"pair": 0, "rotate": 0}
+
+    def counted(name, key):
+        kernel = getattr(eig, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(eig, name, wrapper)
+
+    for kind in ("list", "array"):
+        counted(f"_{kind}_pair", "pair")
+        counted(f"_{kind}_rotate", "rotate")
+    return calls
+
+
+@pytest.mark.parametrize("n", [6, *KERNEL_SIZES])
+def test_one_rotated_pair_retests_only_its_own_pairs(n, kernel_calls):
+    # orthogonal columns, then columns 1 and n - 2 mixed: one rotation makes
+    # them orthogonal again, after which only pairs holding one of them and
+    # tested before it need testing again, at most 2n - 3
+    rng = np.random.default_rng(n)
+    b = np.linalg.qr(rng.standard_normal((n, n)))[0] * rng.uniform(0.5, 2.0, n)
+    b[:, [1, n - 2]] = b[:, [1, n - 2]] @ np.array([[1.0, 0.5], [0.25, 1.0]])
+    one_sided_svd(b)
+    assert kernel_calls["rotate"] == 1
+    assert kernel_calls["pair"] <= n * (n - 1) // 2 + 2 * n - 3
+
+
+# Over the blocks of test_spectral_blocks_take_fewer_pair_tests_and_rotations,
+# the counts of the cyclic order that tested every pair in every sweep.
+CYCLIC_PAIR_TESTS = 98956
+CYCLIC_ROTATIONS = 70228
+
+
+def test_spectral_blocks_take_fewer_pair_tests_and_rotations(kernel_calls):
+    # six standard normal blocks of each size, on both sides of the cutoff,
+    # each solved as a and as |a|
+    rng = np.random.default_rng(0)
+    for n in (12, 20, 21, 32):
+        for _ in range(6):
+            a = rng.standard_normal((n, n))
+            _, s, vt = np.linalg.svd(a)
+            for m in (a, vt.T @ (s[:, None] * vt)):
+                one_sided_svd(m)
+    assert kernel_calls["pair"] <= 0.85 * CYCLIC_PAIR_TESTS
+    assert kernel_calls["rotate"] <= 0.92 * CYCLIC_ROTATIONS

@@ -322,7 +322,7 @@ class TestLeastScaleSearch:
         for f, m in self.INSTANCES:
             _assert_least_scale(psi, f, m, luxemburg_norm(psi, f, m))
 
-    @pytest.mark.parametrize("psi", SEARCHED_PSIS[:2], ids=lambda p: p.name)
+    @pytest.mark.parametrize("psi", SEARCHED_PSIS[:2] + SEARCHED_PSIS[3:], ids=lambda p: p.name)
     def test_median_evaluation_count(self, psi, monkeypatch):
         calls = []
         counted = norms._atom_modular
@@ -335,7 +335,16 @@ class TestLeastScaleSearch:
         for f, m in self.INSTANCES:
             calls.append(0)
             luxemburg_norm(psi, f, m)
-        assert np.median(calls) <= 11
+        # a finite threshold starts the search at the least scale with a finite modular
+        assert np.median(calls) <= (11 if math.isinf(psi.finite_threshold) else 12)
+
+    def test_function_infinite_at_its_threshold(self):
+        # no least scale: the infimum sup / threshold gives an infinite
+        # modular, so the search stops within its width above it
+        open_cap = OrliczFunction("open-cap", lambda u: np.where(u < 1.0, u, math.inf), 1.0)
+        for f, m in self.INSTANCES:
+            expected = luxemburg_norm(capped(1.0), f, m)
+            assert luxemburg_norm(open_cap, f, m) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("route", ["a", "b"])
     @pytest.mark.parametrize("psi", SEARCHED_PSIS + [ZERO_THRESHOLD], ids=lambda p: p.name)
@@ -390,7 +399,8 @@ class TestNormOverflow:
         with pytest.raises(NormOverflowError):
             route(self.CTX, spec, self.HUGE)
 
-    @pytest.mark.parametrize("psi", [power(1), capped(1.0)], ids=lambda p: p.name)
+    # at capped:0.5 the least scale with a finite modular, 1e308 / 0.5, is past the largest float
+    @pytest.mark.parametrize("psi", [power(1), capped(1.0), capped(0.5)], ids=lambda p: p.name)
     def test_bisection_raises_where_the_closed_form_does(self, psi):
         f = StepFunction([0, 3], [1e308])
         for fn in (psi, _bisected(psi)):
