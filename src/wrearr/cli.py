@@ -10,8 +10,6 @@ verify  run the randomized property suite
 gen     write deterministic random operator/weight files
 
 Exit codes: 0 success, 1 property failure, 2 parse error, 3 validation error.
-The WREARR_TOLERANCE environment variable overrides the default 1e-10
-cross-route tolerance used by ``verify``.
 """
 
 from __future__ import annotations

@@ -155,11 +155,17 @@ _LINF = OrliczFunction(
 
 
 _BUILTIN_FACTORIES = {
-    "cosh-1": lambda args: cosh_minus_one(),
-    "llogl": lambda args: l_log_l(),
+    "cosh-1": lambda args: _no_parameter(args, _COSH_MINUS_ONE),
+    "llogl": lambda args: _no_parameter(args, _L_LOG_L),
     "pow": lambda args: power(_parse_float(args, "pow")),
     "capped": lambda args: capped(_parse_float(args, "capped")),
 }
+
+
+def _no_parameter(args, psi):
+    if args is not None:
+        raise ParseError(f"orlicz:{psi.name} takes no parameter, got {args!r}")
+    return psi
 
 
 def _parse_float(args, label):

@@ -97,7 +97,7 @@ class StepFunction:
         # copied: _assemble keeps canonical input as given, and the caller may
         # still write to its own arrays
         bp = np.atleast_1d(np.array(breakpoints, dtype=float))
-        va = np.atleast_1d(np.array(values, dtype=float)) if len(values) else np.array([], dtype=float)
+        va = np.atleast_1d(np.array(values, dtype=float))
         if bp.ndim != 1 or va.ndim != 1 or bp.size != va.size + 1:
             raise ValidationError("need k+1 breakpoints for k values")
         if bp[0] != 0.0:

@@ -19,7 +19,6 @@ rearrangement as an argument.  Property ``i`` draws from
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,23 +91,8 @@ __all__ = [
     "format_report",
 ]
 
-TOLERANCE_ENV_VAR = "WREARR_TOLERANCE"
-DEFAULT_CROSS_ROUTE_TOLERANCE = 1e-10
-
-
-def cross_route_tolerance():
-    """Tolerance for cross-route equality checks; overridable via the
-    WREARR_TOLERANCE environment variable."""
-    raw = os.environ.get(TOLERANCE_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CROSS_ROUTE_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{TOLERANCE_ENV_VAR} must be a float, got {raw!r}") from exc
-    if not value > 0:
-        raise ValidationError(f"{TOLERANCE_ENV_VAR} must be positive")
-    return value
+# tolerance of the rows that compare two computations of the same quantity
+CROSS_ROUTE_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -145,7 +129,7 @@ def _routes_disagree(ctx, a, mu):
     """1 when the weighted rearrangement ``mu`` of ``a`` differs from the
     generalized inverse of its weighted distribution, else 0."""
     other = generalized_inverse(weighted_distribution(ctx, a))
-    return 0.0 if step_equal(mu, other, cross_route_tolerance(), 1e-12) else 1.0
+    return 0.0 if step_equal(mu, other, CROSS_ROUTE_TOLERANCE, 1e-12) else 1.0
 
 
 # -- instance makers ----------------------------------------------------------
@@ -310,13 +294,12 @@ def _shrink(inst, fails, candidates):
 
 @dataclass(frozen=True)
 class _Row:
-    """One property.  ``tolerance`` may be the string "cross" to pick up the
-    (env-overridable) cross-route tolerance at run time.  ``describe`` names
-    every field of an instance, in order, the context included: the key
-    under which a counterexample shows it."""
+    """One property.  ``describe`` names every field of an instance, in
+    order, the context included: the key under which a counterexample shows
+    it."""
 
     name: str
-    tolerance: float | str
+    tolerance: float
     make: Callable
     residual: Callable
     describe: tuple = ("weight", "operator")
@@ -694,21 +677,27 @@ _SHIFT = ("weight", "operator", "operator_b", "times")
 
 _REGISTRY = [
     _Row("step-distribution-shape", 0.0, _step_instance, _step_distribution_shape, _STEP),
-    _Row("step-rearrangement-equimeasurable", "cross", _step_instance, _step_equimeasurable, _STEP),
+    _Row("step-rearrangement-equimeasurable", CROSS_ROUTE_TOLERANCE, _step_instance,
+         _step_equimeasurable, _STEP),
     _Row("step-distribution-at-rearrangement-bounded", 1e-12, _step_instance,
          _step_distribution_bound, _STEP),
-    _Row("step-rearrangement-preserves-integral", "cross", _step_instance, _step_integral, _STEP),
-    _Row("singular-values-of-abs-and-adjoint-agree", "cross", _corpus, _abs_adjoint(_sv)),
-    _Row("singular-values-homogeneous", "cross", _with_scalar(_corpus, -3.0, 3.0),
+    _Row("step-rearrangement-preserves-integral", CROSS_ROUTE_TOLERANCE, _step_instance,
+         _step_integral, _STEP),
+    _Row("singular-values-of-abs-and-adjoint-agree", CROSS_ROUTE_TOLERANCE, _corpus,
+         _abs_adjoint(_sv)),
+    _Row("singular-values-homogeneous", CROSS_ROUTE_TOLERANCE, _with_scalar(_corpus, -3.0, 3.0),
          _homogeneous(_sv), ("weight", "operator", "scalar")),
-    _Row("singular-value-distribution-counts-spectrum", "cross", _spectrum_instance,
+    _Row("singular-value-distribution-counts-spectrum", CROSS_ROUTE_TOLERANCE, _spectrum_instance,
          _sv_distribution_counts, ("weight", "operator", "times")),
-    _Row("support-projection-trace", "cross", _matrix_corpus, _support_projection_trace),
-    _Row("functional-calculus-preserves-level-sets", "cross", _level_set_instance, _level_sets,
-         ("weight", "operator", "threshold")),
-    _Row("oracle-matches-weighted-rearrangement", "cross", _with_times(_diag_corpus, 50), _oracle,
-         ("weight", "operator", "times"), shrink=_diag_shrink_candidates),
-    _Row("rearrangement-integral-equals-weighted-trace", "cross", _corpus, _integral_identity),
+    _Row("support-projection-trace", CROSS_ROUTE_TOLERANCE, _matrix_corpus,
+         _support_projection_trace),
+    _Row("functional-calculus-preserves-level-sets", CROSS_ROUTE_TOLERANCE, _level_set_instance,
+         _level_sets, ("weight", "operator", "threshold")),
+    _Row("oracle-matches-weighted-rearrangement", CROSS_ROUTE_TOLERANCE,
+         _with_times(_diag_corpus, 50), _oracle, ("weight", "operator", "times"),
+         shrink=_diag_shrink_candidates),
+    _Row("rearrangement-integral-equals-weighted-trace", CROSS_ROUTE_TOLERANCE, _corpus,
+         _integral_identity),
     _Row("weighted-trace-subadditive", 1e-9, _corpus_pair, _trace_subadditive,
          ("weight", "operator", "operator_b")),
     _Row("weighted-trace-homogeneous", 1e-9, _with_scalar(_corpus, -4.0, 4.0),
@@ -720,27 +709,30 @@ _REGISTRY = [
          _equivalent_projections, ("weight", "isometry")),
     _Row("orthogonal-projections-trace-inequality", 1e-12, _labels_instance,
          _orthogonal_projections, ("weight", "projection_p", "projection_q")),
-    _Row("weighted-rearrangement-of-abs-and-adjoint-agree", "cross", _corpus, _abs_adjoint(_wr)),
-    _Row("weighted-rearrangement-homogeneous", "cross", _with_scalar(_corpus, -3.0, 3.0),
-         _homogeneous(_wr), ("weight", "operator", "scalar")),
-    _Row("weighted-rearrangement-sum-shift-inequality", "cross", _shift_instance,
+    _Row("weighted-rearrangement-of-abs-and-adjoint-agree", CROSS_ROUTE_TOLERANCE, _corpus,
+         _abs_adjoint(_wr)),
+    _Row("weighted-rearrangement-homogeneous", CROSS_ROUTE_TOLERANCE,
+         _with_scalar(_corpus, -3.0, 3.0), _homogeneous(_wr),
+         ("weight", "operator", "scalar")),
+    _Row("weighted-rearrangement-sum-shift-inequality", CROSS_ROUTE_TOLERANCE, _shift_instance,
          _shift(lambda a, b: a + b, lambda c, x, y: c - x - y), _SHIFT),
-    _Row("weighted-rearrangement-product-shift-inequality", "cross", _shift_instance,
+    _Row("weighted-rearrangement-product-shift-inequality", CROSS_ROUTE_TOLERANCE, _shift_instance,
          _shift(lambda a, b: a @ b, lambda c, x, y: c - x * y), _SHIFT),
     _Row("weighted-rearrangement-shape", 0.0, _corpus, _wr_shape),
     _Row("weighted-rearrangement-small-t-limit", 1e-9, _corpus, _wr_small_t),
     _Row("weighted-distribution-at-rearrangement-bounded", 1e-12, _with_times(_corpus, 8),
          _wd_bound, ("weight", "operator", "times")),
-    _Row("truncation-distance-dominates-rearrangement", "cross", _with_times(_diag_corpus, None),
-         _truncation, ("weight", "operator", "t"), shrink=_diag_shrink_candidates),
+    _Row("truncation-distance-dominates-rearrangement", CROSS_ROUTE_TOLERANCE,
+         _with_times(_diag_corpus, None), _truncation, ("weight", "operator", "t"),
+         shrink=_diag_shrink_candidates),
     _Row("orlicz-norm-routes-agree", 1e-8, _corpus, _orlicz_routes),
     _Row("lp-norm-routes-agree", 1e-8, _corpus, _lp_routes),
     _Row("membership-routes-agree", 0.0, _corpus, _membership_routes),
-    _Row("functional-calculus-commutes-with-rearrangement", "cross", _capped_positive_corpus,
-         _calculus_commutes),
+    _Row("functional-calculus-commutes-with-rearrangement", CROSS_ROUTE_TOLERANCE,
+         _capped_positive_corpus, _calculus_commutes),
     _Row("rearrangement-norm-axioms", 1e-9, _with_scalar(_corpus_pair, -3.0, 3.0), _norm_axioms,
          ("weight", "operator", "operator_b", "scalar")),
-    _Row("lp-norm-matches-quadrature", "cross", _corpus, _lp_quadrature),
+    _Row("lp-norm-matches-quadrature", CROSS_ROUTE_TOLERANCE, _corpus, _lp_quadrature),
     _Row("conjugation-invariance", 1e-9, _conjugation_instance, _conjugation,
          ("weight", "operator", "conjugator")),
     # deterministic, a single evaluation suffices
@@ -755,12 +747,11 @@ def run_property(name, seed, trials):
     """Run one named property with its own deterministic stream."""
     for index, row in enumerate(_REGISTRY):
         if row.name == name:
-            tol = cross_route_tolerance() if row.tolerance == "cross" else row.tolerance
             rng = np.random.default_rng([int(seed), index])
             if row.max_trials is not None:
                 trials = min(trials, row.max_trials)
-            failures, worst, counterexample = _loop(row, rng, trials, tol)
-            return PropertyResult(name, trials, failures, worst, tol, counterexample)
+            failures, worst, counterexample = _loop(row, rng, trials, row.tolerance)
+            return PropertyResult(name, trials, failures, worst, row.tolerance, counterexample)
     raise ValidationError(f"unknown property {name!r}")
 
 

@@ -19,10 +19,9 @@ import numpy as np
 from .algebra import singular_value_function
 from .errors import ValidationError
 from .stepfn import (
-    LEBESGUE,
     DensityMeasure,
     Measure,
-    distribution,
+    generalized_inverse,
     integrate,
     rearrange,
 )
@@ -130,12 +129,12 @@ def weighted_distribution(ctx, a):
     projection of |a| above the threshold.
 
     Computed exactly as the cumulative weight mass composed with the
-    unweighted distribution, which agrees with evaluating the weighted trace
-    on each spectral projection directly.
+    unweighted distribution, the generalized inverse of the already
+    decreasing mu(a), which agrees with evaluating the weighted trace on each
+    spectral projection directly.
     """
     _check_member(ctx, a)
-    plain = distribution(singular_value_function(a), LEBESGUE)
-    return plain.map_values(ctx.weight.cumulative)
+    return generalized_inverse(singular_value_function(a)).map_values(ctx.weight.cumulative)
 
 
 def weighted_rearrangement(ctx, a):

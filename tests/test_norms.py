@@ -487,7 +487,12 @@ class TestNormSpecParsing:
             assert spec.psi.name == detail
 
     @pytest.mark.parametrize(
-        "text", ["L0.5", "orlicz:unknown", "orlicz:pow", "orlicz:pow:x", "nonsense", "L"]
+        "text",
+        [
+            "L0.5", "orlicz:unknown", "orlicz:pow", "orlicz:pow:x", "nonsense", "L",
+            # a parameterless builtin rejects a stray parameter
+            "orlicz:llogl:banana", "orlicz:cosh-1:2",
+        ],
     )
     def test_invalid_specs(self, text):
         with pytest.raises(ParseError):

@@ -123,6 +123,14 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             StepFunction([0, 1, 2], [1.0])
 
+    def test_scalar_values_give_one_piece(self):
+        f = StepFunction([0, 1], 5.0)
+        assert list(f.breakpoints) == [0, 1]
+        assert list(f.values) == [5.0]
+        assert StepFunction([0], []).is_zero()
+        with pytest.raises(ValidationError):
+            StepFunction([0, 1], None)
+
     def test_rejects_nan_and_minus_inf(self):
         with pytest.raises(ValidationError):
             StepFunction([0, 1], [math.nan])

@@ -57,13 +57,15 @@ def test_level_sets_replay_passes():
     assert run_property("functional-calculus-preserves-level-sets", 1884188051, 5).failures == 0
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("WREARR_TOLERANCE", "1e-3")
-    result = run_property("rearrangement-integral-equals-weighted-trace", 1, 2)
-    assert result.tolerance == 1e-3
-    monkeypatch.setenv("WREARR_TOLERANCE", "bogus")
-    with pytest.raises(ValidationError):
-        run_property("rearrangement-integral-equals-weighted-trace", 1, 2)
+def test_environment_cannot_loosen_a_cross_route_row(monkeypatch):
+    # a variable of this name once replaced the cross-route tolerance, so a 1%
+    # error in the rearrangement's integral passed every trial
+    monkeypatch.setenv("WREARR_TOLERANCE", "1")
+    original = verify_mod.integrate
+    monkeypatch.setattr(verify_mod, "integrate", lambda f, m: 1.01 * original(f, m))
+    result = run_property("rearrangement-integral-equals-weighted-trace", 987654321, 50)
+    assert result.tolerance == 1e-10
+    assert result.failures == 50
 
 
 def test_shrinker_reduces_diagonal_instance():
@@ -149,6 +151,51 @@ def test_step_counterexample_renders_each_measure_kind_as_weight_json(measure, e
             formats.parse_weight(expected)
     else:
         assert formats.weight_to_obj(formats.parse_weight(expected)) == expected
+
+
+def test_cli_verify_failure_path_writes_replayable_counterexamples(monkeypatch, capsys):
+    # the cross-route rows, and the routes' step comparison, tightened past
+    # float resolution: the full report, then exit 1, and on stderr one strict
+    # JSON counterexample line per FAIL row, naming that row's property; its
+    # top-level weight and operators, and any measure in its detail, parse back
+    # to the same objects, so a counterexample can be replayed as input files
+    tight = 1e-16
+    registry = [
+        dataclasses.replace(row, tolerance=tight)
+        if row.tolerance == verify_mod.CROSS_ROUTE_TOLERANCE else row
+        for row in verify_mod._REGISTRY
+    ]
+    assert sum(row.tolerance == tight for row in registry) == 16
+    monkeypatch.setattr(verify_mod, "_REGISTRY", registry)
+    monkeypatch.setattr(verify_mod, "CROSS_ROUTE_TOLERANCE", tight)
+    code = main(["verify", "--seed", "42", "--trials", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    failed = [line.split()[1] for line in captured.out.splitlines() if line.startswith("FAIL ")]
+    found = [
+        json.loads(line[len("counterexample ") :], parse_constant=reject)
+        for line in captured.err.splitlines()
+        if line.startswith("counterexample ")
+    ]
+    assert failed and sorted(obj["property"] for obj in found) == sorted(failed)
+    trips = 0
+    for obj in found:
+        if "weight" in obj:
+            assert formats.weight_to_obj(formats.parse_weight(obj["weight"])) == obj["weight"]
+            trips += 1
+        for value in obj.values():
+            if isinstance(value, dict) and "algebra" in value:
+                assert formats.operator_to_obj(formats.parse_operator(value)) == value
+                trips += 1
+        if "measure" in obj["detail"]:
+            measure = obj["detail"]["measure"]
+            assert formats.weight_to_obj(formats.parse_measure(measure)) == measure
+            trips += 1
+    assert trips >= len(found)
 
 
 ROUTE_ROWS = ("oracle-matches-weighted-rearrangement", "weighted-rearrangement-shape")
@@ -259,8 +306,7 @@ GOLDEN_SUITE_42_3 = (
 )
 
 
-def test_suite_report_is_golden(monkeypatch):
-    monkeypatch.delenv("WREARR_TOLERANCE", raising=False)
+def test_suite_report_is_golden():
     assert format_report(run_suite(42, 3)) == GOLDEN_SUITE_42_3
 
 
@@ -268,6 +314,5 @@ def test_suite_report_is_golden(monkeypatch):
 def test_suite_passes_on_each_jacobi_kernel_alone(monkeypatch, cutoff):
     # cutoff 0 sends every block to the numpy row kernel, MAX_BLOCK_SIZE every
     # block to the Python-float kernel
-    monkeypatch.delenv("WREARR_TOLERANCE", raising=False)
     monkeypatch.setattr(eig, "PYTHON_FLOAT_CUTOFF", cutoff)
     assert sum(r.failures for r in run_suite(42, 3)) == 0
