@@ -24,16 +24,21 @@ skipped, since it would pass again on the same floats.  A 1x1 block is its
 own absolute value.
 
 Row k of the work array ``[b^T | I]`` holds column k of ``b`` and then of
-``v``, so a pair is its two rows' 2x2 Gram matrix and one 2x2 rotation of
-them.  Two kernels do that and share everything else.  A block of size at most
-``PYTHON_FLOAT_CUTOFF`` keeps its rows as lists of Python floats and uses
-plain sums and list comprehensions, because on so few entries a numpy call
-per pair costs more than its arithmetic.  A larger block keeps them in one
-array, one gather and two small matrix products per pair, whose fixed cost
-per call the growing rows amortize.  The cutoff sits where the two kernels'
-measured per-call times cross.  A pair with a squared norm below ``_TINY``,
-and the final norms, use the rows divided by their own powers of two; a
-column that is all subnormal raises.
+``v``.  The rows' squared norms are computed once per solve and then kept up to
+date from each rotation (LAPACK's norm update), so a pair costs one inner
+product of its two rows and one rotation of them.  A pair's two norms are
+computed again from their rows when the pair took the rescaled path below, and
+when the update cancels.  The kept norms steer only the order and the stopping
+test; the singular values come from the final rows.  Two kernels do the inner
+product and the rotation and share everything else; both keep a list of rows.
+A block of size at most ``PYTHON_FLOAT_CUTOFF`` keeps each row as a list of
+Python floats and uses plain sums and list comprehensions, because on so few
+entries a numpy call per pair costs more than its arithmetic.  A larger block
+keeps each row as a 1-D array, one dot product and two scaled sums of rows per
+pair, whose fixed cost per call the growing rows amortize.  The cutoff
+sits where the two kernels' measured per-call times cross.  A pair with a
+squared norm below ``_TINY``, and the final norms, use the rows divided by
+their own powers of two; a column that is all subnormal raises.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .errors import EigenSolverError
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
 _TINY = float(np.finfo(float).tiny / np.finfo(float).eps)
-PYTHON_FLOAT_CUTOFF = 20  # largest block that sweeps on Python floats
+PYTHON_FLOAT_CUTOFF = 15  # largest block that sweeps on Python floats
 
 
 def _prescaled(matrix, block_index):
@@ -70,15 +75,14 @@ def _scaled_gram(rows):
 
 
 def _rotation(app, aqq, apq, d):
-    """``(c, s)`` of the rotation that annihilates ``apq`` between ``app`` and
-    ``aqq``, the Gram entries of rows p and q after they were divided by
-    ``2^(r + d)`` and ``2^r``; found without forming ``4^d``."""
+    """``(c, t)``, the cosine and tangent of the rotation that annihilates
+    ``apq`` between ``app`` and ``aqq``, the Gram entries of rows p and q after
+    they were divided by ``2^(r + d)`` and ``2^r``; found without forming ``4^d``."""
     k = abs(d)
     zeta = (math.ldexp(aqq, -d - k) - math.ldexp(app, d - k)) / (2.0 * apq)
     t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(math.ldexp(1.0, -k), zeta))
     t = math.ldexp(t, -k) if zeta != 0 else 1.0
-    c = 1.0 / math.hypot(1.0, t)
-    return c, t * c
+    return 1.0 / math.hypot(1.0, t), t
 
 
 def _unconverged(block_index, sweeps, g):
@@ -92,34 +96,31 @@ def _unconverged(block_index, sweeps, g):
 
 
 def _array_pair(w, p, q, n):
-    """The numpy row kernel: one gather of rows p and q and their 2x2 Gram matrix."""
-    rows = w[[p, q]]
-    x = rows[:, :n]
-    (alpha, gamma), (_, beta) = (x @ x.T).tolist()
-    return rows, alpha, beta, gamma
+    """The numpy row kernel: rows p and q of a list of 1-D arrays and their inner product."""
+    x, y = w[p], w[q]
+    return x, y, x[:n] @ y[:n]
 
 
-def _array_rotate(w, p, q, rows, c, s):
-    """Writes the rotated pair back as rows p and q of ``w``."""
-    w[[p, q]] = np.array([[c, -s], [s, c]]) @ rows
+def _array_rotate(w, p, q, x, y, c, s):
+    """Replaces rows p and q of ``w`` with the rotated pair."""
+    w[p] = c * x - s * y
+    w[q] = s * x + c * y
 
 
 def _array_square_norms(w, n):
     """The squared norms of the first ``n`` entries of the rows of ``w``."""
-    x = w[:, :n]
-    return np.einsum("ij,ij->i", x, x).tolist()
+    return [x[:n] @ x[:n] for x in w]
 
 
 def _list_pair(w, p, q, n):
-    """The Python-float kernel: rows p and q of a list of lists and their Gram entries."""
+    """The Python-float kernel: rows p and q of a list of lists and their inner
+    product, over the first ``n`` entries (``map`` stops at the shorter one)."""
     x, y = w[p], w[q]
-    xb, yb = x[:n], y[:n]
-    return (x, y), sum(map(mul, xb, xb)), sum(map(mul, yb, yb)), sum(map(mul, xb, yb))
+    return x, y, sum(map(mul, x[:n], y))
 
 
-def _list_rotate(w, p, q, rows, c, s):
+def _list_rotate(w, p, q, x, y, c, s):
     """Replaces rows p and q of ``w`` with the rotated pair."""
-    x, y = rows
     w[p] = [c * xi - s * yi for xi, yi in zip(x, y)]
     w[q] = [s * xi + c * yi for xi, yi in zip(x, y)]
 
@@ -131,31 +132,40 @@ def _list_square_norms(w, n):
 
 def _sweep(w, n, live, block_index, pair, rotate, square_norms):
     """Sweeps over the ``live`` rows of ``w`` until every pair passes the
-    relative test, each pair's Gram entries and rotation from ``pair`` and
-    ``rotate``, and the rows' squared norms from ``square_norms``.
+    relative test, each pair's rows and inner product from ``pair``, its
+    rotation from ``rotate``, and the rows' squared norms from ``square_norms``.
 
-    Each sweep takes the rows by decreasing squared norm, ties in index order
-    (de Rijk's order).  A pair neither of whose rows was rotated since it last
-    passed would recompute the same floats and pass again, so it is skipped:
-    ``rotated_at[k]`` is the rotation count just after row k's last rotation,
-    and ``passed_at[p * n + q]`` the count when pair (p, q) last passed.
+    The squared norms are computed once and then kept: a rotation by tangent
+    ``t`` takes ``alpha`` to ``alpha - t gamma`` and ``beta`` to
+    ``beta + t gamma``.  Both are computed again from their rows after a pair
+    that took the rescaled path, whose Gram entries are in rescaled units, and
+    when either updated value fell below a quarter of its old one, where the
+    update cancels.  Each sweep takes the rows by decreasing kept squared norm,
+    ties in index order (de Rijk's order).  A pair neither of whose rows was
+    rotated since it last passed would recompute the same floats and pass
+    again, so it is skipped: ``rotated_at[k]`` is the rotation count just after
+    row k's last rotation, and ``passed_at[p * n + q]`` the count when pair
+    (p, q) last passed.
     """
+    norms = square_norms(w, n)
     rotations = 0
     rotated_at = [0] * n
     passed_at = [-1] * (n * n)
     for _ in range(MAX_SWEEPS):
         before = rotations
-        order = sorted(live, key=square_norms(w, n).__getitem__, reverse=True)
+        order = sorted(live, key=norms.__getitem__, reverse=True)
         for i, p in enumerate(order):
             row = p * n
             for q in order[i + 1:]:
                 last = passed_at[row + q]
                 if last >= rotated_at[p] and last >= rotated_at[q]:
                     continue
-                rows, alpha, beta, gamma = pair(w, p, q, n)
+                x, y, gamma = pair(w, p, q, n)
+                alpha, beta = norms[p], norms[q]
                 d = 0
-                if alpha < _TINY or beta < _TINY:
-                    g, (rp, rq) = _scaled_gram(np.asarray(rows)[:, :n])
+                rescaled = alpha < _TINY or beta < _TINY
+                if rescaled:
+                    g, (rp, rq) = _scaled_gram(np.array((x, y))[:, :n])
                     if min(rp, rq) <= np.finfo(float).minexp:
                         raise EigenSolverError(block_index, "a column is all subnormal after scaling")
                     (alpha, gamma), (_, beta) = g.tolist()
@@ -163,9 +173,14 @@ def _sweep(w, n, live, block_index, pair, rotate, square_norms):
                 if gamma == 0.0 or abs(gamma) <= OFF_DIAGONAL_TOL * math.sqrt(alpha) * math.sqrt(beta):
                     passed_at[row + q] = passed_at[q * n + p] = rotations
                     continue
-                rotate(w, p, q, rows, *_rotation(alpha, beta, gamma, d))
+                c, t = _rotation(alpha, beta, gamma, d)
+                rotate(w, p, q, x, y, c, t * c)
                 rotations += 1
                 rotated_at[p] = rotated_at[q] = rotations
+                a, b = alpha - t * gamma, beta + t * gamma
+                if rescaled or 4.0 * a < alpha or 4.0 * b < beta:
+                    a, b = square_norms((w[p], w[q]), n)
+                norms[p], norms[q] = a, b
         if rotations == before:
             return
     raise _unconverged(block_index, MAX_SWEEPS, _scaled_gram(np.asarray(w)[:, :n])[0])
@@ -188,11 +203,11 @@ def one_sided_svd(matrix, block_index=0):
     live = np.flatnonzero(b.any(axis=0)).tolist()  # a zero column never rotates
     if len(live) > 1:  # one live column has no pair to test, nor rows to convert
         if n <= PYTHON_FLOAT_CUTOFF:
-            rows = w.tolist()
-            _sweep(rows, n, live, block_index, _list_pair, _list_rotate, _list_square_norms)
-            w = np.array(rows)
+            rows, kernel = w.tolist(), (_list_pair, _list_rotate, _list_square_norms)
         else:
-            _sweep(w, n, live, block_index, _array_pair, _array_rotate, _array_square_norms)
+            rows, kernel = list(w), (_array_pair, _array_rotate, _array_square_norms)
+        _sweep(rows, n, live, block_index, *kernel)
+        w = np.array(rows)
     g, r = _scaled_gram(w[:, :n])
     sv = np.ldexp(np.sqrt(g.diagonal()), e + r)
     order = np.argsort(-sv, kind="stable")

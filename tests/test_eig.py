@@ -12,7 +12,7 @@ from wrearr.errors import EigenSolverError
 KERNEL_SIZES = (PYTHON_FLOAT_CUTOFF, PYTHON_FLOAT_CUTOFF + 1)
 
 
-@pytest.mark.parametrize("n", sorted({1, 2, 3, 5, 8, 16, 64, *KERNEL_SIZES}))
+@pytest.mark.parametrize("n", sorted({1, 2, 3, 5, 8, 16, 20, 21, 64, *KERNEL_SIZES}))
 def test_one_sided_svd_matches_lapack(n):
     rng = np.random.default_rng(100 + n)
     a = rng.uniform(-1, 1, size=(n, n))
@@ -154,6 +154,23 @@ def test_one_sided_svd_keeps_relative_accuracy_on_a_graded_block_above_the_cutof
     _assert_relatively_accurate(b, [_gram_polynomial(p) for p in parts])
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 21, 22, 23, 24, 25])
+def test_one_sided_svd_keeps_tiny_columns_accurate_on_the_rescaled_path(n):
+    # [big | 1e-150 small]: the tiny columns' squared norms are below _TINY and
+    # mostly share one exponent, so their pairs take the rescaled path with
+    # d == 0; the tiny singular values are 1e-150 times those of small
+    # projected off the range of big
+    k = n // 2
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        big, small = rng.uniform(-1, 1, (n, k)), rng.uniform(-1, 1, (n, n - k))
+        b = np.hstack([big, 1e-150 * small])
+        assert (np.sum(b[:, k:] ** 2, axis=0) < eig._TINY).all()
+        q = np.linalg.qr(big)[0]
+        expected = 1e-150 * np.linalg.svd(small - q @ (q.T @ small), compute_uv=False)
+        np.testing.assert_allclose(one_sided_svd(b)[0][k:], expected, rtol=1e-10, err_msg=f"seed={seed}")
+
+
 def test_one_sided_svd_rejects_a_column_below_the_float_range_at_once():
     # a column whose entries are all subnormal once the largest entry is in
     # [1/2, 1) cannot keep its digits under rotation: a typed error on its
@@ -197,7 +214,7 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", [6, *KERNEL_SIZES])
+@pytest.mark.parametrize("n", sorted({6, 20, 21, *KERNEL_SIZES}))
 def test_one_rotated_pair_retests_only_its_own_pairs(n, kernel_calls):
     # orthogonal columns, then columns 1 and n - 2 mixed: one rotation makes
     # them orthogonal again, after which only pairs holding one of them and
