@@ -24,21 +24,32 @@ skipped, since it would pass again on the same floats.  A 1x1 block is its
 own absolute value.
 
 Row k of the work array ``[b^T | I]`` holds column k of ``b`` and then of
-``v``.  The rows' squared norms are computed once per solve and then kept up to
-date from each rotation (LAPACK's norm update), so a pair costs one inner
-product of its two rows and one rotation of them.  A pair's two norms are
-computed again from their rows when the pair took the rescaled path below, and
-when the update cancels.  The kept norms steer only the order and the stopping
-test; the singular values come from the final rows.  Two kernels do the inner
-product and the rotation and share everything else; both keep a list of rows.
-A block of size at most ``PYTHON_FLOAT_CUTOFF`` keeps each row as a list of
-Python floats and uses plain sums and list comprehensions, because on so few
-entries a numpy call per pair costs more than its arithmetic.  A larger block
-keeps each row as a 1-D array, one dot product and two scaled sums of rows per
-pair, whose fixed cost per call the growing rows amortize.  The cutoff
-sits where the two kernels' measured per-call times cross.  A pair with a
-squared norm below ``_TINY``, and the final norms, use the rows divided by
-their own powers of two; a column that is all subnormal raises.
+``v``.  The solve builds these rows, the list of nonzero columns and the
+output order in Python lists, from one ``tolist()`` of the prescaled block,
+and makes numpy arrays only for the final norms and the result: each numpy
+call costs about a microsecond, which is most of a 2x2 solve.  The rows'
+squared norms are computed once per solve and then kept up to date from each
+rotation (LAPACK's norm update), so a pair costs one inner product of its two
+rows and one rotation of them.  A pair's two norms are computed again from
+their rows when the pair took the rescaled path below, and when the update
+cancels.  The kept norms steer only the order and the stopping test; the
+singular values come from the final rows.  Two kernels do the inner product
+and the rotation and share everything else; both keep a list of rows, and both
+hand the sweep Python floats, so the stopping test, the norm update and the
+rotation are plain float arithmetic.  A block of size at most
+``PYTHON_FLOAT_CUTOFF`` keeps each row as a list of Python floats and uses
+plain sums and list comprehensions, because on so few entries a numpy call
+per pair costs more than its arithmetic.  A larger block keeps each row as a
+1-D array, one dot product (a ``float64``, so its ``float`` is exact) and two
+scaled sums of rows per pair, whose fixed cost per call the growing rows
+amortize.  The cutoff is where the two kernels' per-call times crossed while
+the numpy kernel still returned ``float64`` scalars; the crossover is now
+lower, but the two kernels round their inner products in different orders, so
+moving the cutoff would change the results of the blocks in between.  A pair
+with a squared norm below ``_TINY``, and the final norms, use the rows divided
+by their own powers of two; a column that is all subnormal raises
+:class:`EigenSolverError`, and a largest singular value beyond the float range
+raises :class:`NormOverflowError`.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import EigenSolverError
+from .errors import EigenSolverError, NormOverflowError
 
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
@@ -57,14 +68,16 @@ PYTHON_FLOAT_CUTOFF = 15  # largest block that sweeps on Python floats
 
 
 def _prescaled(matrix, block_index):
-    """``(m, e)`` with ``matrix = 2^e m`` and the largest entry of ``m`` in [1/2, 1)."""
+    """``(cols, e)`` with ``matrix = 2^e m``, the largest entry of ``m`` in [1/2, 1)
+    and ``cols`` the columns of ``m`` as lists of Python floats."""
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise EigenSolverError(block_index, "matrix must be square")
-    if not np.isfinite(a).all():
+    top = float(np.abs(a).max(initial=0.0))  # inf or nan if any entry is
+    if not math.isfinite(top):
         raise EigenSolverError(block_index, "matrix has non-finite entries")
-    e = math.frexp(np.abs(a).max(initial=0.0))[1]
-    return np.ldexp(a, -e), e
+    e = math.frexp(top)[1]
+    return np.ldexp(a.T, -e).tolist(), e
 
 
 def _scaled_gram(rows):
@@ -96,9 +109,10 @@ def _unconverged(block_index, sweeps, g):
 
 
 def _array_pair(w, p, q, n):
-    """The numpy row kernel: rows p and q of a list of 1-D arrays and their inner product."""
+    """The numpy row kernel: rows p and q of a list of 1-D arrays and their
+    inner product, a Python float."""
     x, y = w[p], w[q]
-    return x, y, x[:n] @ y[:n]
+    return x, y, float(x[:n].dot(y[:n]))
 
 
 def _array_rotate(w, p, q, x, y, c, s):
@@ -108,8 +122,8 @@ def _array_rotate(w, p, q, x, y, c, s):
 
 
 def _array_square_norms(w, n):
-    """The squared norms of the first ``n`` entries of the rows of ``w``."""
-    return [x[:n] @ x[:n] for x in w]
+    """The squared norms of the first ``n`` entries of the rows of ``w``, Python floats."""
+    return [float(x.dot(x)) for x in (r[:n] for r in w)]
 
 
 def _list_pair(w, p, q, n):
@@ -193,22 +207,26 @@ def one_sided_svd(matrix, block_index=0):
     relative to ``OFF_DIAGONAL_TOL``, within ``MAX_SWEEPS`` sweeps; the column
     norms are then the singular values and the accumulated rotations the right
     singular vectors.  Returns ``(s, v)`` with ``s`` descending and
-    ``matrix.T @ matrix = v @ diag(s**2) @ v.T``.
+    ``matrix.T @ matrix = v @ diag(s**2) @ v.T``.  Raises
+    :class:`NormOverflowError` when ``s[0]``, the block's operator norm, is
+    beyond the float range although every entry is finite.
     """
-    b, e = _prescaled(matrix, block_index)
-    n = b.shape[0]
-    if n == 1:  # |a| and 1, bit for bit what the final norms below would give
-        return np.ldexp(np.abs(b[0]), e), np.ones((1, 1))
-    w = np.concatenate((b.T, np.eye(n)), axis=1)
-    live = np.flatnonzero(b.any(axis=0)).tolist()  # a zero column never rotates
+    cols, e = _prescaled(matrix, block_index)
+    n = len(cols)
+    if n < 2:  # |a| and 1, bit for bit what the final norms below would give
+        return np.array([math.ldexp(abs(c[0]), e) for c in cols]), np.ones((n, n))
+    rows = [c + u for c, u in zip(cols, np.eye(n).tolist())]  # [b^T | I]
+    live = [k for k, c in enumerate(cols) if any(c)]  # a zero column never rotates
     if len(live) > 1:  # one live column has no pair to test, nor rows to convert
         if n <= PYTHON_FLOAT_CUTOFF:
-            rows, kernel = w.tolist(), (_list_pair, _list_rotate, _list_square_norms)
+            kernel = (_list_pair, _list_rotate, _list_square_norms)
         else:
-            rows, kernel = list(w), (_array_pair, _array_rotate, _array_square_norms)
+            rows, kernel = list(np.array(rows)), (_array_pair, _array_rotate, _array_square_norms)
         _sweep(rows, n, live, block_index, *kernel)
-        w = np.array(rows)
-    g, r = _scaled_gram(w[:, :n])
-    sv = np.ldexp(np.sqrt(g.diagonal()), e + r)
-    order = np.argsort(-sv, kind="stable")
-    return sv[order], w[order, n:].T
+    g, r = _scaled_gram(np.array([row[:n] for row in rows]))
+    try:
+        sv = [math.ldexp(math.sqrt(x), e + k) for x, k in zip(g.diagonal().tolist(), r.tolist())]
+    except OverflowError:
+        raise NormOverflowError(f"block {block_index}: the operator norm exceeds the float range") from None
+    order = sorted(range(n), key=sv.__getitem__, reverse=True)
+    return np.array([sv[k] for k in order]), np.array([rows[k][n:] for k in order]).T

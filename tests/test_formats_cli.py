@@ -299,6 +299,20 @@ class TestCliErrors:
         assert captured.out == "" and "float range" in captured.err
         assert main(["norm", *args, "--norm", "L1"]) == 3
 
+    @pytest.mark.parametrize("command", ["mu", "mux", "taux", "norm"])
+    def test_singular_value_beyond_the_float_range_exits_3(self, capsys, command):
+        # block 1 is 1.7e308 in every entry: finite, but its largest singular
+        # value, 3.4e308, is not
+        args = [command, "--input", f"{FIXTURES}/overflow_block.json"]
+        if command != "mu":
+            args += ["--weight", f"{FIXTURES}/step_weight_21.json"]
+        if command == "norm":
+            args += ["--norm", "L2"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "block 1: the operator norm exceeds the float range" in captured.err
+
     def test_wrong_block_shape_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "op.json"
         bad.write_text(
