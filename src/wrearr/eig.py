@@ -10,46 +10,47 @@ calculus (see :mod:`wrearr.algebra`).
 
 It first divides the matrix by the power of two that brings its largest
 entry into [1/2, 1), and it skips a pair of columns (p, q) whose inner
-product is small relative to the geometric mean of their squared norms
-(Demmel & Veselic 1992).  The scaling is exact and the test is relative, so
-the result for ``2^k a`` is the result for ``a`` times ``2^k`` while no entry
-is subnormal.  The relative threshold is ``OFF_DIAGONAL_TOL`` and the sweep
-cap ``MAX_SWEEPS``.
-
-Each sweep visits the columns in de Rijk's order, by decreasing squared norm
-at the start of the sweep (de Rijk 1989; LAPACK's ``xGESVJ``, Drmac &
-Veselic 2008), which needs fewer sweeps and rotations than the cyclic order.
-A pair whose two columns were not rotated since it last passed the test is
-skipped, since it would pass again on the same floats.  A 1x1 block is its
-own absolute value.
+product is at most ``sqrt(n) eps`` times the geometric mean of their squared
+norms, where LAPACK's ``xGESVJ`` stops (Demmel & Veselic 1992; Drmac &
+Veselic 2008).  ``_off_diagonal_tol(n)`` gives that threshold and
+``MAX_SWEEPS`` caps the sweeps.  The scaling is exact and the test is
+relative, so the result for ``2^k a`` is the result for ``a`` times ``2^k``
+while no entry is subnormal.  Jacobi keeps its relative accuracy under any
+order of the pairs, so the two kernels below may order them differently.
 
 Row k of the work array ``[b^T | I]`` holds column k of ``b`` and then of
-``v``.  The solve builds these rows, the list of nonzero columns and the
-output order in Python lists, from one ``tolist()`` of the prescaled block,
-and makes numpy arrays only for the final norms and the result: each numpy
-call costs about a microsecond, which is most of a 2x2 solve.  The rows'
-squared norms are computed once per solve and then kept up to date from each
-rotation (LAPACK's norm update), so a pair costs one inner product of its two
-rows and one rotation of them.  A pair's two norms are computed again from
-their rows when the pair took the rescaled path below, and when the update
-cancels.  The kept norms steer only the order and the stopping test; the
-singular values come from the final rows.  Two kernels do the inner product
-and the rotation and share everything else; both keep a list of rows, and both
-hand the sweep Python floats, so the stopping test, the norm update and the
-rotation are plain float arithmetic.  A block of size at most
-``PYTHON_FLOAT_CUTOFF`` keeps each row as a list of Python floats and uses
-plain sums and list comprehensions, because on so few entries a numpy call
-per pair costs more than its arithmetic.  A larger block keeps each row as a
-1-D array, one dot product (a ``float64``, so its ``float`` is exact) and two
-scaled sums of rows per pair, whose fixed cost per call the growing rows
-amortize.  The cutoff is where the two kernels' per-call times crossed while
-the numpy kernel still returned ``float64`` scalars; the crossover is now
-lower, but the two kernels round their inner products in different orders, so
-moving the cutoff would change the results of the blocks in between.  A pair
-with a squared norm below ``_TINY``, and the final norms, use the rows divided
-by their own powers of two; a column that is all subnormal raises
-:class:`EigenSolverError`, and a largest singular value beyond the float range
-raises :class:`NormOverflowError`.
+``v``.  A block of size at most ``PYTHON_FLOAT_CUTOFF`` keeps each row as a
+list of Python floats, built from one ``tolist()`` of the prescaled block,
+and ``_sweep`` rotates one pair at a time with plain sums and list
+comprehensions: on so few entries a numpy call per pair costs more than its
+arithmetic.  Each of its sweeps takes the columns in de Rijk's order, by
+decreasing squared norm (de Rijk 1989; LAPACK's ``xGESVJ``), and skips a
+pair whose two columns were not rotated since it last passed the test, since
+it would pass again on the same floats.  Its squared norms are computed once
+per solve and then kept up to date from each rotation (LAPACK's norm update).
+
+A larger block keeps the rows as one ``n x 2n`` array, and ``_batch_sweep``
+takes the pairs in the round-robin order of Brent & Luk (1985): each of the
+``n - 1`` steps of a sweep (``n`` for odd ``n``) holds up to ``n / 2``
+disjoint pairs, which it tests with one ``einsum`` and rotates together.  It
+computes the rotated rows' squared norms again from the rows at every step:
+kept by the update alone, they lose their digits and go negative on the
+blocks of size 64 and the cancelling columns of the tests.  The cutoff is
+where the batched kernel becomes the faster one.  A sweep that rotates
+nothing ends either kernel.
+
+A rotated column whose squared norm is at most ``_off_diagonal_tol(n)**2``
+times the smaller of its pair's old ones is that rotation's rounding error,
+and is set to zero.  Otherwise, when every column is a multiple of one
+constant vector, such a column stays exactly parallel to the others, fails
+the test again, and rotated on down it became subnormal and raised an error.
+
+A pair with a squared norm below ``_TINY`` is tested and rotated from its
+rows divided by their own powers of two, and the final norms, one sum per
+row, divide a row the same way when its squared norm is below ``_TINY``; a
+column that is all subnormal raises :class:`EigenSolverError`, and a largest
+singular value beyond the float range raises :class:`NormOverflowError`.  A
+1x1 block is its own absolute value.
 """
 
 from __future__ import annotations
@@ -61,10 +62,15 @@ import numpy as np
 
 from .errors import EigenSolverError, NormOverflowError
 
-OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
-_TINY = float(np.finfo(float).tiny / np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny) / _EPS
 PYTHON_FLOAT_CUTOFF = 15  # largest block that sweeps on Python floats
+
+
+def _off_diagonal_tol(n):
+    """The relative threshold for a block of size ``n``: ``sqrt(n) eps``, as in LAPACK's ``xGESVJ``."""
+    return math.sqrt(n) * _EPS
 
 
 def _prescaled(matrix, block_index):
@@ -85,6 +91,16 @@ def _scaled_gram(rows):
     r = np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]
     x = np.ldexp(rows, -r[:, None])
     return x @ x.T, r
+
+
+def _rescaled_pair(x, y, n, block_index):
+    """``(alpha, beta, gamma, d)``: the Gram entries of the first ``n`` entries
+    of rows ``x`` and ``y`` after they were divided by ``2^(r + d)`` and ``2^r``."""
+    g, (rp, rq) = _scaled_gram(np.array((x[:n], y[:n])))
+    if min(rp, rq) <= np.finfo(float).minexp:
+        raise EigenSolverError(block_index, "a column is all subnormal after scaling")
+    (alpha, gamma), (_, beta) = g.tolist()
+    return alpha, beta, gamma, int(rp - rq)
 
 
 def _rotation(app, aqq, apq, d):
@@ -108,24 +124,6 @@ def _unconverged(block_index, sweeps, g):
     return EigenSolverError(block_index, "not converged", sweeps=sweeps, off_diagonal=off)
 
 
-def _array_pair(w, p, q, n):
-    """The numpy row kernel: rows p and q of a list of 1-D arrays and their
-    inner product, a Python float."""
-    x, y = w[p], w[q]
-    return x, y, float(x[:n].dot(y[:n]))
-
-
-def _array_rotate(w, p, q, x, y, c, s):
-    """Replaces rows p and q of ``w`` with the rotated pair."""
-    w[p] = c * x - s * y
-    w[q] = s * x + c * y
-
-
-def _array_square_norms(w, n):
-    """The squared norms of the first ``n`` entries of the rows of ``w``, Python floats."""
-    return [float(x.dot(x)) for x in (r[:n] for r in w)]
-
-
 def _list_pair(w, p, q, n):
     """The Python-float kernel: rows p and q of a list of lists and their inner
     product, over the first ``n`` entries (``map`` stops at the shorter one)."""
@@ -144,24 +142,25 @@ def _list_square_norms(w, n):
     return [sum(map(mul, x, x)) for x in (r[:n] for r in w)]
 
 
-def _sweep(w, n, live, block_index, pair, rotate, square_norms):
-    """Sweeps over the ``live`` rows of ``w`` until every pair passes the
-    relative test, each pair's rows and inner product from ``pair``, its
-    rotation from ``rotate``, and the rows' squared norms from ``square_norms``.
+def _sweep(w, n, live, block_index, tol):
+    """Sweeps over the ``live`` rows of ``w``, a list of lists of Python
+    floats, until every pair passes the relative test ``tol``.
 
     The squared norms are computed once and then kept: a rotation by tangent
     ``t`` takes ``alpha`` to ``alpha - t gamma`` and ``beta`` to
     ``beta + t gamma``.  Both are computed again from their rows after a pair
     that took the rescaled path, whose Gram entries are in rescaled units, and
     when either updated value fell below a quarter of its old one, where the
-    update cancels.  Each sweep takes the rows by decreasing kept squared norm,
-    ties in index order (de Rijk's order).  A pair neither of whose rows was
-    rotated since it last passed would recompute the same floats and pass
-    again, so it is skipped: ``rotated_at[k]`` is the rotation count just after
-    row k's last rotation, and ``passed_at[p * n + q]`` the count when pair
-    (p, q) last passed.
+    update cancels; a row whose recomputed squared norm is then at most
+    ``tol^2`` times the smaller of the pair's old ones is set to zero.  Each
+    sweep takes the rows by decreasing kept squared norm, ties in index order
+    (de Rijk's order).  A pair neither of whose rows was rotated since it last
+    passed would recompute the same floats and pass again, so it is skipped:
+    ``rotated_at[k]`` is the rotation count just after row k's last rotation,
+    and ``passed_at[p * n + q]`` the count when pair (p, q) last passed.
     """
-    norms = square_norms(w, n)
+    sqrt = math.sqrt
+    norms = _list_square_norms(w, n)
     rotations = 0
     rotated_at = [0] * n
     passed_at = [-1] * (n * n)
@@ -174,39 +173,163 @@ def _sweep(w, n, live, block_index, pair, rotate, square_norms):
                 last = passed_at[row + q]
                 if last >= rotated_at[p] and last >= rotated_at[q]:
                     continue
-                x, y, gamma = pair(w, p, q, n)
+                x, y, gamma = _list_pair(w, p, q, n)
                 alpha, beta = norms[p], norms[q]
                 d = 0
                 rescaled = alpha < _TINY or beta < _TINY
                 if rescaled:
-                    g, (rp, rq) = _scaled_gram(np.array((x, y))[:, :n])
-                    if min(rp, rq) <= np.finfo(float).minexp:
-                        raise EigenSolverError(block_index, "a column is all subnormal after scaling")
-                    (alpha, gamma), (_, beta) = g.tolist()
-                    d = int(rp - rq)
-                if gamma == 0.0 or abs(gamma) <= OFF_DIAGONAL_TOL * math.sqrt(alpha) * math.sqrt(beta):
+                    alpha, beta, gamma, d = _rescaled_pair(x, y, n, block_index)
+                if gamma == 0.0 or abs(gamma) <= tol * sqrt(alpha) * sqrt(beta):
                     passed_at[row + q] = passed_at[q * n + p] = rotations
                     continue
                 c, t = _rotation(alpha, beta, gamma, d)
-                rotate(w, p, q, x, y, c, t * c)
+                _list_rotate(w, p, q, x, y, c, t * c)
                 rotations += 1
                 rotated_at[p] = rotated_at[q] = rotations
                 a, b = alpha - t * gamma, beta + t * gamma
                 if rescaled or 4.0 * a < alpha or 4.0 * b < beta:
-                    a, b = square_norms((w[p], w[q]), n)
+                    a, b = _list_square_norms((w[p], w[q]), n)
+                    if not rescaled and min(a, b) <= tol * tol * min(alpha, beta):
+                        k = p if a <= b else q
+                        w[k][:n] = [0.0] * n
+                        a, b = (0.0, b) if k == p else (a, 0.0)
                 norms[p], norms[q] = a, b
         if rotations == before:
             return
     raise _unconverged(block_index, MAX_SWEEPS, _scaled_gram(np.asarray(w)[:, :n])[0])
 
 
+def _round_robin(n):
+    """One sweep of the round-robin order on ``0..n-1`` (Brent & Luk 1985):
+    an integer array with one row per step, the first rows of the step's
+    disjoint pairs and then their second rows, every pair in exactly one step.
+    Players sit on ``m = n + n % 2`` seats; seat 0 stays, the others turn one
+    place a step, and seat ``i`` meets seat ``m - 1 - i``.  For odd ``n`` each
+    step leaves out its pair with the dummy player ``n``."""
+    m = n + n % 2
+    turn = np.arange(m - 1)
+    seats = np.zeros((m - 1, m), dtype=np.intp)
+    seats[:, 1:] = (turn - turn[:, None]) % (m - 1) + 1
+    p, q = seats[:, :m // 2], seats[:, :m // 2 - 1:-1]
+    real = (p != n) & (q != n)
+    p, q = p[real].reshape(m - 1, -1), q[real].reshape(m - 1, -1)
+    return np.hstack((np.minimum(p, q), np.maximum(p, q)))
+
+
+def _live_steps(alive):
+    """The steps of ``_round_robin`` without the pairs that hold a row that is not ``alive``."""
+    steps = _round_robin(alive.size)
+    h = steps.shape[1] // 2
+    keep = alive[steps[:, :h]] & alive[steps[:, h:]]
+    return [np.concatenate((pq[:h][k], pq[h:][k])) for pq, k in zip(steps, keep) if k.any()]
+
+
+def _batch_pairs(w, p, q, n):
+    """The batched kernel: rows ``p`` and ``q`` of the array ``w``, for
+    arrays of disjoint pairs, and their inner products over the first ``n``
+    entries."""
+    x, y = w[p], w[q]
+    return x, y, np.einsum("ij,ij->i", x[:, :n], y[:, :n])
+
+
+def _batch_rotate(w, p, q, x, y, c, s):
+    """Replaces rows ``p`` and ``q`` of ``w`` with the rotated pairs; ``c`` and
+    ``s`` are columns, one entry per pair, or numbers for a single pair."""
+    w[p] = c * x - s * y
+    w[q] = s * x + c * y
+
+
+def _rotations(alpha, beta, gamma):
+    """``_rotation`` with ``d == 0`` over arrays of pairs, none with ``gamma == 0``."""
+    zeta = (beta - alpha) / gamma + 0.0  # twice _rotation's zeta; -0.0 to 0.0, so t = 1 where it is 0
+    t = np.copysign(2.0 / (np.abs(zeta) + np.hypot(2.0, zeta)), zeta)
+    return 1.0 / np.hypot(1.0, t), t
+
+
+def _batch_sweep(w, norms, n, live, block_index, tol):
+    """Sweeps over the ``live`` rows of the array ``w`` in round-robin steps
+    until every pair passes the relative test ``tol``, keeping ``norms``, the
+    rows' squared norms over their first ``n`` entries, up to date.
+
+    Each step tests its pairs at once and rotates those that fail together,
+    then computes the rotated rows' squared norms again from the rows.  A
+    rotated row whose squared norm is then at most ``tol^2`` times the smaller
+    of its pair's old ones is set to zero and leaves the steps.  A pair with a
+    squared norm below ``_TINY`` is tested and rotated on its own, through
+    ``_rescaled_pair`` and ``_rotation``.
+    """
+    alive = np.zeros(n, dtype=bool)
+    alive[live] = True
+    steps = _live_steps(alive)
+    for _ in range(MAX_SWEEPS):
+        rotated = False
+        for pq in steps:
+            m = pq.size // 2
+            p, q = pq[:m], pq[m:]
+            x, y, gamma = _batch_pairs(w, p, q, n)
+            alpha, beta = norms[p], norms[q]
+            hot = np.abs(gamma) > tol * np.sqrt(alpha) * np.sqrt(beta)
+            tiny = np.minimum(alpha, beta) < _TINY
+            if tiny.any():
+                for i in tiny.nonzero()[0].tolist():
+                    hot[i] = False
+                    a, b, g, d = _rescaled_pair(x[i], y[i], n, block_index)
+                    if g != 0.0 and abs(g) > tol * math.sqrt(a) * math.sqrt(b):
+                        c, t = _rotation(a, b, g, d)
+                        _batch_rotate(w, p[i], q[i], x[i], y[i], c, t * c)
+                        pair = w[[p[i], q[i]], :n]
+                        norms[[p[i], q[i]]] = np.einsum("ij,ij->i", pair, pair)
+                        rotated = True
+            k = hot.nonzero()[0]
+            if not k.size:
+                continue
+            if k.size < m:
+                p, q, x, y, alpha, beta, gamma = (v[k] for v in (p, q, x, y, alpha, beta, gamma))
+            c, t = _rotations(alpha, beta, gamma)
+            c = c[:, None]
+            _batch_rotate(w, p, q, x, y, c, t[:, None] * c)
+            rows = np.concatenate((p, q))
+            r = w[rows, :n]
+            new = np.einsum("ij,ij->i", r, r)
+            floor = tol * tol * np.minimum(alpha, beta)
+            noise = new <= np.concatenate((floor, floor))
+            if noise.any():  # the rotation's rounding error: zero within it
+                w[rows[noise], :n] = 0.0
+                new[noise] = 0.0
+                alive[rows[noise]] = False
+                steps = _live_steps(alive)
+            norms[rows] = new
+            rotated = True
+        if not rotated:
+            return
+    raise _unconverged(block_index, MAX_SWEEPS, _scaled_gram(w[:, :n])[0])
+
+
+def _singular_values(rows, norms, n, e, block_index):
+    """``2^e`` times the square roots of the rows' squared norms ``norms``; a
+    row whose squared norm is below ``_TINY`` is divided by its own power of two
+    first, so that its squared entries do not underflow."""
+    sv = []
+    for row, s in zip(rows, norms):
+        r = 0
+        if s < _TINY:
+            x = row[:n]
+            r = math.frexp(max(map(abs, x)))[1]
+            s = sum(math.ldexp(xi, -r) ** 2 for xi in x)
+        try:
+            sv.append(math.ldexp(math.sqrt(s), e + r))
+        except OverflowError:
+            raise NormOverflowError(f"block {block_index}: the operator norm exceeds the float range") from None
+    return sv
+
+
 def one_sided_svd(matrix, block_index=0):
     """Singular values and right singular vectors by one-sided Jacobi sweeps.
 
     Rotates pairs of columns of ``matrix`` until they are mutually orthogonal
-    relative to ``OFF_DIAGONAL_TOL``, within ``MAX_SWEEPS`` sweeps; the column
-    norms are then the singular values and the accumulated rotations the right
-    singular vectors.  Returns ``(s, v)`` with ``s`` descending and
+    relative to ``_off_diagonal_tol(n)``, within ``MAX_SWEEPS`` sweeps; the
+    column norms are then the singular values and the accumulated rotations the
+    right singular vectors.  Returns ``(s, v)`` with ``s`` descending and
     ``matrix.T @ matrix = v @ diag(s**2) @ v.T``.  Raises
     :class:`NormOverflowError` when ``s[0]``, the block's operator norm, is
     beyond the float range although every entry is finite.
@@ -217,16 +340,17 @@ def one_sided_svd(matrix, block_index=0):
         return np.array([math.ldexp(abs(c[0]), e) for c in cols]), np.ones((n, n))
     rows = [c + u for c, u in zip(cols, np.eye(n).tolist())]  # [b^T | I]
     live = [k for k, c in enumerate(cols) if any(c)]  # a zero column never rotates
-    if len(live) > 1:  # one live column has no pair to test, nor rows to convert
-        if n <= PYTHON_FLOAT_CUTOFF:
-            kernel = (_list_pair, _list_rotate, _list_square_norms)
-        else:
-            rows, kernel = list(np.array(rows)), (_array_pair, _array_rotate, _array_square_norms)
-        _sweep(rows, n, live, block_index, *kernel)
-    g, r = _scaled_gram(np.array([row[:n] for row in rows]))
-    try:
-        sv = [math.ldexp(math.sqrt(x), e + k) for x, k in zip(g.diagonal().tolist(), r.tolist())]
-    except OverflowError:
-        raise NormOverflowError(f"block {block_index}: the operator norm exceeds the float range") from None
+    tol = _off_diagonal_tol(n)
+    if n <= PYTHON_FLOAT_CUTOFF:
+        if len(live) > 1:  # one live column has no pair to test
+            _sweep(rows, n, live, block_index, tol)
+        norms = _list_square_norms(rows, n)
+    else:
+        rows = np.array(rows)
+        norms = np.einsum("ij,ij->i", rows[:, :n], rows[:, :n])
+        if len(live) > 1:
+            _batch_sweep(rows, norms, n, live, block_index, tol)
+        norms = norms.tolist()
+    sv = _singular_values(rows, norms, n, e, block_index)
     order = sorted(range(n), key=sv.__getitem__, reverse=True)
     return np.array([sv[k] for k in order]), np.array([rows[k][n:] for k in order]).T

@@ -9,7 +9,7 @@ from wrearr.algebra import MAX_BLOCK_SIZE
 from wrearr.eig import PYTHON_FLOAT_CUTOFF, one_sided_svd
 from wrearr.errors import EigenSolverError, NormOverflowError
 
-# the largest block on the Python-float kernel and the smallest on the numpy one
+# the largest block on the Python-float kernel and the smallest on the batched one
 KERNEL_SIZES = (PYTHON_FLOAT_CUTOFF, PYTHON_FLOAT_CUTOFF + 1)
 
 
@@ -87,15 +87,12 @@ def test_a_largest_singular_value_beyond_the_float_range_raises(n):
 
 
 def test_both_kernels_hand_the_sweep_python_floats():
-    # the stopping test, the norm update and _rotation run on Python floats
+    # the list kernel's stopping test, norm update and _rotation run on Python
+    # floats; the batched kernel keeps its arithmetic in arrays
     rng = np.random.default_rng(4)
-    rows = rng.uniform(-1, 1, (3, 6))
-    for pair, square_norms, w in (
-        (eig._list_pair, eig._list_square_norms, rows.tolist()),
-        (eig._array_pair, eig._array_square_norms, list(rows)),
-    ):
-        assert type(pair(w, 0, 2, 3)[2]) is float
-        assert [type(x) for x in square_norms(w, 3)] == [float] * 3
+    w = rng.uniform(-1, 1, (3, 6)).tolist()
+    assert type(eig._list_pair(w, 0, 2, 3)[2]) is float
+    assert [type(x) for x in eig._list_square_norms(w, 3)] == [float] * 3
 
 
 SCALE_EXPONENTS = [-1000, -530, -43, 0, 255, 498, 530, 1000]
@@ -235,48 +232,56 @@ def test_one_by_one_block_is_its_absolute_value(x):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of pair tests and rotations over both row kernels."""
+    """Counts of pair tests and rotations over both kernels; a batched call
+    counts each of its pairs."""
     calls = {"pair": 0, "rotate": 0}
 
     def counted(name, key):
         kernel = getattr(eig, name)
 
-        def wrapper(*args):
-            calls[key] += 1
-            return kernel(*args)
+        def wrapper(w, p, *args):
+            calls[key] += np.size(p)
+            return kernel(w, p, *args)
 
         monkeypatch.setattr(eig, name, wrapper)
 
-    for kind in ("list", "array"):
-        counted(f"_{kind}_pair", "pair")
-        counted(f"_{kind}_rotate", "rotate")
+    for name, key in (("_list_pair", "pair"), ("_list_rotate", "rotate"),
+                      ("_batch_pairs", "pair"), ("_batch_rotate", "rotate")):
+        counted(name, key)
     return calls
 
 
 @pytest.mark.parametrize("n", sorted({6, 20, 21, *KERNEL_SIZES}))
 def test_one_rotated_pair_retests_only_its_own_pairs(n, kernel_calls):
     # orthogonal columns, then columns 1 and n - 2 mixed: one rotation makes
-    # them orthogonal again, after which only pairs holding one of them and
-    # tested before it need testing again, at most 2n - 3
+    # them orthogonal again.  The list kernel then tests again only the pairs
+    # holding one of them that were tested before it, at most 2n - 3; the
+    # batched kernel stops after one more sweep of every pair, rotating none
     rng = np.random.default_rng(n)
     b = np.linalg.qr(rng.standard_normal((n, n)))[0] * rng.uniform(0.5, 2.0, n)
     b[:, [1, n - 2]] = b[:, [1, n - 2]] @ np.array([[1.0, 0.5], [0.25, 1.0]])
     one_sided_svd(b)
     assert kernel_calls["rotate"] == 1
-    assert kernel_calls["pair"] <= n * (n - 1) // 2 + 2 * n - 3
+    if n <= PYTHON_FLOAT_CUTOFF:
+        assert kernel_calls["pair"] <= n * (n - 1) // 2 + 2 * n - 3
+    else:
+        assert kernel_calls["pair"] == n * (n - 1)
 
 
 # Over the blocks of test_spectral_blocks_take_fewer_pair_tests_and_rotations,
-# the counts of the cyclic order that tested every pair in every sweep.
-CYCLIC_PAIR_TESTS = 98956
-CYCLIC_ROTATIONS = 70228
+# the counts of the cyclic order, which tests every pair (p < q, in index
+# order) in every sweep, at the same stopping test.
+CYCLIC_PAIR_TESTS = 19478
+CYCLIC_ROTATIONS = 14138
 
 
 def test_spectral_blocks_take_fewer_pair_tests_and_rotations(kernel_calls):
-    # six standard normal blocks of each size, on both sides of the cutoff,
-    # each solved as a and as |a|
+    # six standard normal blocks of each size, all on the list kernel, each
+    # solved as a and as |a|
+    sizes = (8, 10, 12, 13)
+    assert max(sizes) <= PYTHON_FLOAT_CUTOFF
     rng = np.random.default_rng(0)
-    for n in (12, 20, 21, 32):
+    for n in sizes:
         for _ in range(6):
             a = rng.standard_normal((n, n))
             _, s, vt = np.linalg.svd(a)
@@ -296,10 +301,9 @@ def _assert_matches_lapack(b, err_msg):
 @pytest.mark.parametrize("n", [3, PYTHON_FLOAT_CUTOFF + 1])
 def test_cancelling_columns_converge(n):
     # columns 1 and 2 each equal column 0 up to a relative 1e-5 ... 1e-15, so
-    # rotations cancel most of a column's squared norm; its kept norm is then
-    # computed again from its row (the quarter rule).  Updated through the
-    # cancellation instead, the kept norms lose their digits, and 11 of these
-    # 660 blocks at n = 3 and 25 of the 110 at n = 16 run out of sweeps
+    # rotations cancel most of a column's squared norm.  The list kernel then
+    # computes that column's kept norm again from its row (the quarter rule);
+    # the batched kernel does so for every rotated row
     for seed in range(60 if n == 3 else 10):
         rng = np.random.default_rng(seed)
         for k in range(5, 16):
@@ -309,7 +313,7 @@ def test_cancelling_columns_converge(n):
 
 
 def test_blocks_of_the_largest_size_converge():
-    # MAX_BLOCK_SIZE: both kernels form their Gram entries in rounded
+    # MAX_BLOCK_SIZE: the batched kernel forms its Gram entries in rounded
     # arithmetic, and these blocks must still stop on the relative test
     n = MAX_BLOCK_SIZE
     rng = np.random.default_rng(64)
@@ -323,3 +327,74 @@ def test_blocks_of_the_largest_size_converge():
     }
     for name, b in blocks.items():
         _assert_matches_lapack(b, name)
+
+
+@pytest.mark.parametrize("n", sorted({3, 8, *KERNEL_SIZES, 32, MAX_BLOCK_SIZE}))
+def test_spectral_projections_match_lapack_within_eps_over_the_gap(n):
+    # a positive block with a gap of 1e-4 ||h|| below its top n // 2
+    # eigenvalues: the projection onto them is determined to about
+    # eps ||h|| / gap (Davis-Kahan), and both kernels, stopping at sqrt(n) eps,
+    # agree with LAPACK's to 4 eps ||h|| / gap.  Stopped at a relative 1e-12,
+    # they were up to 490 times that far off
+    eps = np.finfo(float).eps
+    k, gap = n // 2, 1e-4
+    for seed in range(5):
+        rng = np.random.default_rng(1000 * n + seed)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = np.concatenate([1.0 + rng.uniform(0, 1, k), 1.0 - gap - rng.uniform(0, 0.5, n - k)])
+        lam[k - 1], lam[k] = 1.0, 1.0 - gap
+        h = (q * lam) @ q.T
+        h = 0.5 * (h + h.T)
+        v = one_sided_svd(h)[1][:, :k]
+        v_ref = np.linalg.svd(h)[2][:k].T
+        err = np.abs(v @ v.T - v_ref @ v_ref.T).max()
+        assert err <= 4 * eps * lam.max() / gap, f"seed={seed}: {err:.3e}"
+
+
+@pytest.mark.parametrize("n", [2, 3, *KERNEL_SIZES, MAX_BLOCK_SIZE - 1, MAX_BLOCK_SIZE])
+def test_round_robin_steps_hold_every_pair_once(n):
+    # integer index arrays of disjoint pairs, first rows then second rows;
+    # for odd n the pair with the dummy player n is left out of each step
+    steps = eig._round_robin(n)
+    assert steps.dtype == np.intp and steps.shape == (n - 1 + n % 2, 2 * (n // 2))
+    pairs = []
+    for pq in steps:
+        assert len(set(pq.tolist())) == pq.size
+        pairs += [tuple(pair) for pair in pq.reshape(2, -1).T.tolist()]
+    assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_batched_blocks_keep_a_zero_column_exact():
+    # every size on the batched kernel, odd and even, with a zero column at a
+    # moving place: it never rotates, so its singular value is exactly 0 and
+    # its right singular vector exactly the unit vector; the rest is LAPACK's
+    for n in range(PYTHON_FLOAT_CUTOFF + 1, MAX_BLOCK_SIZE + 1):
+        rng = np.random.default_rng(n)
+        b = rng.uniform(-1, 1, (n, n))
+        z = 7 * n % 11
+        b[:, z] = 0.0
+        s, v = one_sided_svd(b)
+        s_ref = np.linalg.svd(b, compute_uv=False)
+        np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-11 * s_ref[0], err_msg=f"n={n}")
+        np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12, err_msg=f"n={n}")
+        assert s[-1] == 0.0 and np.array_equal(v[:, -1], np.eye(n)[z]), f"n={n}"
+
+
+@pytest.mark.parametrize("cutoff", [0, MAX_BLOCK_SIZE])
+def test_exactly_parallel_columns_converge(monkeypatch, cutoff):
+    # rank one with every column a multiple of one constant vector: each
+    # entry of a column goes through the same float operations, so a rotated
+    # column left at rounding level stays exactly parallel and fails the test
+    # again.  Rotated on down it became subnormal, and the all-ones block
+    # raised "a column is all subnormal" at n = 11, 13, 15, 16, ... on either
+    # kernel; such a column is now set to zero.  cutoff 0 sends every block to
+    # the batched kernel, MAX_BLOCK_SIZE every block to the list kernel
+    monkeypatch.setattr(eig, "PYTHON_FLOAT_CUTOFF", cutoff)
+    for n in [*range(2, 21), 31, 32, MAX_BLOCK_SIZE - 1, MAX_BLOCK_SIZE]:
+        rng = np.random.default_rng(n)
+        for name, b in {
+            "ones": np.ones((n, n)),
+            "full": np.full((n, n), 1.7e308 / n),
+            "constant columns": np.outer(np.ones(n), rng.standard_normal(n)),
+        }.items():
+            _assert_matches_lapack(b, f"{name}, n={n}")
