@@ -11,6 +11,9 @@ from wrearr.errors import EigenSolverError, NormOverflowError
 
 # the largest block on the Python-float kernel and the smallest on the batched one
 KERNEL_SIZES = (PYTHON_FLOAT_CUTOFF, PYTHON_FLOAT_CUTOFF + 1)
+# a size on the batched kernel that stays put when the cutoff moves
+BATCHED = 16
+assert BATCHED > PYTHON_FLOAT_CUTOFF
 
 
 @pytest.mark.parametrize("n", sorted({1, 2, 3, 5, 8, 16, 20, 21, 64, *KERNEL_SIZES}))
@@ -60,7 +63,7 @@ def test_non_convergence_reports_block_index(monkeypatch):
         assert f"{err.value.off_diagonal:.3e}" in str(err.value)
 
 
-@pytest.mark.parametrize("n", [3, PYTHON_FLOAT_CUTOFF + 1])
+@pytest.mark.parametrize("n", [3, BATCHED])
 def test_invalid_blocks_raise_with_their_block_index(n):
     # the shared prologue rejects them before either kernel runs
     a = np.random.default_rng(n).uniform(-1, 1, (n, n))
@@ -76,7 +79,7 @@ def test_invalid_blocks_raise_with_their_block_index(n):
         assert str(err.value).startswith("block 4: ") and message in str(err.value), name
 
 
-@pytest.mark.parametrize("n", [3, PYTHON_FLOAT_CUTOFF + 1])
+@pytest.mark.parametrize("n", [3, BATCHED])
 def test_a_largest_singular_value_beyond_the_float_range_raises(n):
     # every entry is finite, but sigma_1 = 1.7e308 n is not: a typed error
     # naming the block, not inf with a RuntimeWarning or a bare OverflowError
@@ -101,8 +104,9 @@ SCALE_EXPONENTS = [-1000, -530, -43, 0, 255, 498, 530, 1000]
 @pytest.mark.parametrize("k", SCALE_EXPONENTS)
 def test_solvers_are_scale_equivariant(k):
     # prescaling by a power of two is exact and the stopping rule is relative,
-    # so results for 2^k a are exactly those for a times 2^k
-    for n in (1, 6, *KERNEL_SIZES):
+    # so results for 2^k a are exactly those for a times 2^k, on the stacked
+    # rotations of the batched kernel too, at the benchmark's sizes and the cap
+    for n in (1, 6, *KERNEL_SIZES, 32, MAX_BLOCK_SIZE):
         a = np.random.default_rng(6).uniform(-1, 1, (n, n))
         s, v = one_sided_svd(a)
         s_k, v_k = one_sided_svd(np.ldexp(a, k))
@@ -175,7 +179,7 @@ def test_one_sided_svd_keeps_relative_accuracy_on_a_graded_block():
 
 def test_one_sided_svd_keeps_relative_accuracy_on_a_graded_block_above_the_cutoff():
     # a direct sum of graded 6x6 blocks, rows and columns permuted, large
-    # enough for the numpy row kernel; b^T b is a permuted direct sum of the
+    # enough for the batched kernel; b^T b is a permuted direct sum of the
     # parts' Gram matrices, so its characteristic polynomial is their product
     rng = np.random.default_rng(23)
     graded = [s for s in GRADED_COLUMN_SCALES if len(s) == 6]
@@ -207,6 +211,38 @@ def test_one_sided_svd_keeps_tiny_columns_accurate_on_the_rescaled_path(n):
         np.testing.assert_allclose(one_sided_svd(b)[0][k:], expected, rtol=1e-10, err_msg=f"seed={seed}")
 
 
+def test_batched_kernel_rotates_tiny_pairs_a_step_at_a_time(monkeypatch):
+    # the rescaled path above the cutoff is vectorised over a step: no pair
+    # goes through the scalar _rescaled_pair and _rotation
+    def scalar(*args):
+        raise AssertionError("a pair took the scalar rescaled path")
+
+    monkeypatch.setattr(eig, "_rescaled_pair", scalar)
+    monkeypatch.setattr(eig, "_rotation", scalar)
+    n, k = 24, 12
+    rng = np.random.default_rng(0)
+    b = np.hstack([rng.uniform(-1, 1, (n, k)), 1e-150 * rng.uniform(-1, 1, (n, n - k))])
+    assert n > PYTHON_FLOAT_CUTOFF
+    _assert_matches_lapack(b, "[big | 1e-150 small]")
+
+
+def test_batched_rotations_match_the_scalar_rotation_with_rows_apart():
+    # _rotations on the rescaled path against _rotation, one pair at a time:
+    # Gram entries of rows divided by 2^(r + d) and 2^r, each with its largest
+    # entry in [1/2, 1), for exponent gaps d up to the float range
+    rng = np.random.default_rng(7)
+    m = 400
+    d = np.concatenate([np.zeros(40, dtype=int), rng.integers(-1020, 1021, m - 40)])
+    alpha, beta = rng.uniform(0.25, 8.0, (2, m))
+    gamma = rng.uniform(-1, 1, m) * np.sqrt(alpha * beta)
+    k = np.abs(d)
+    c, t = eig._rotations(np.ldexp(alpha, d - k), np.ldexp(beta, -d - k), gamma, np.ldexp(2.0, -k))
+    expected = np.array([eig._rotation(*args) for args in zip(alpha.tolist(), beta.tolist(), gamma.tolist(), d.tolist())])
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(c, expected[:, 0], rtol=4 * eps, atol=0)
+    np.testing.assert_allclose(t, expected[:, 1], rtol=4 * eps, atol=0)
+
+
 def test_one_sided_svd_rejects_a_column_below_the_float_range_at_once():
     # a column whose entries are all subnormal once the largest entry is in
     # [1/2, 1) cannot keep its digits under rotation: a typed error on its
@@ -233,14 +269,14 @@ def test_one_by_one_block_is_its_absolute_value(x):
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts of pair tests and rotations over both kernels; a batched call
-    counts each of its pairs."""
+    counts each of its pairs, one row of its ``(m, 2)`` index array."""
     calls = {"pair": 0, "rotate": 0}
 
     def counted(name, key):
         kernel = getattr(eig, name)
 
         def wrapper(w, p, *args):
-            calls[key] += np.size(p)
+            calls[key] += len(p) if isinstance(p, np.ndarray) else 1
             return kernel(w, p, *args)
 
         monkeypatch.setattr(eig, name, wrapper)
@@ -251,7 +287,7 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", sorted({6, 20, 21, *KERNEL_SIZES}))
+@pytest.mark.parametrize("n", sorted({6, BATCHED, 20, 21, *KERNEL_SIZES}))
 def test_one_rotated_pair_retests_only_its_own_pairs(n, kernel_calls):
     # orthogonal columns, then columns 1 and n - 2 mixed: one rotation makes
     # them orthogonal again.  The list kernel then tests again only the pairs
@@ -298,7 +334,7 @@ def _assert_matches_lapack(b, err_msg):
     np.testing.assert_allclose(v.T @ v, np.eye(len(b)), rtol=0, atol=1e-12, err_msg=err_msg)
 
 
-@pytest.mark.parametrize("n", [3, PYTHON_FLOAT_CUTOFF + 1])
+@pytest.mark.parametrize("n", [3, BATCHED])
 def test_cancelling_columns_converge(n):
     # columns 1 and 2 each equal column 0 up to a relative 1e-5 ... 1e-15, so
     # rotations cancel most of a column's squared norm.  The list kernel then
@@ -329,7 +365,7 @@ def test_blocks_of_the_largest_size_converge():
         _assert_matches_lapack(b, name)
 
 
-@pytest.mark.parametrize("n", sorted({3, 8, *KERNEL_SIZES, 32, MAX_BLOCK_SIZE}))
+@pytest.mark.parametrize("n", sorted({3, 8, *KERNEL_SIZES, BATCHED, 32, MAX_BLOCK_SIZE}))
 def test_spectral_projections_match_lapack_within_eps_over_the_gap(n):
     # a positive block with a gap of 1e-4 ||h|| below its top n // 2
     # eigenvalues: the projection onto them is determined to about
@@ -351,7 +387,7 @@ def test_spectral_projections_match_lapack_within_eps_over_the_gap(n):
         assert err <= 4 * eps * lam.max() / gap, f"seed={seed}: {err:.3e}"
 
 
-@pytest.mark.parametrize("n", [2, 3, *KERNEL_SIZES, MAX_BLOCK_SIZE - 1, MAX_BLOCK_SIZE])
+@pytest.mark.parametrize("n", [2, 3, *KERNEL_SIZES, BATCHED, MAX_BLOCK_SIZE - 1, MAX_BLOCK_SIZE])
 def test_round_robin_steps_hold_every_pair_once(n):
     # integer index arrays of disjoint pairs, first rows then second rows;
     # for odd n the pair with the dummy player n is left out of each step

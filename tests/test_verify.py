@@ -312,7 +312,7 @@ def test_suite_report_is_golden():
 
 @pytest.mark.parametrize("cutoff", [0, MAX_BLOCK_SIZE])
 def test_suite_passes_on_each_jacobi_kernel_alone(monkeypatch, cutoff):
-    # cutoff 0 sends every block to the numpy row kernel, MAX_BLOCK_SIZE every
+    # cutoff 0 sends every block to the batched kernel, MAX_BLOCK_SIZE every
     # block to the Python-float kernel
     monkeypatch.setattr(eig, "PYTHON_FLOAT_CUTOFF", cutoff)
     assert sum(r.failures for r in run_suite(42, 3)) == 0
