@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -212,24 +213,49 @@ def test_one_sided_svd_keeps_tiny_columns_accurate_on_the_rescaled_path(n):
 
 
 def test_batched_kernel_rotates_tiny_pairs_a_step_at_a_time(monkeypatch):
-    # the rescaled path above the cutoff is vectorised over a step: no pair
-    # goes through the scalar _rescaled_pair and _rotation
-    def scalar(*args):
-        raise AssertionError("a pair took the scalar rescaled path")
+    # [big | 1e-150 small]: the tiny columns' pairs are tested and rotated on
+    # the batched kernel's rescaled path, many pairs to a call; below the
+    # cutoff the list kernel hands the block over at the first such pair
+    calls = []
+    rescaled = eig._rescaled_pairs
 
-    monkeypatch.setattr(eig, "_rescaled_pair", scalar)
-    monkeypatch.setattr(eig, "_rotation", scalar)
-    n, k = 24, 12
-    rng = np.random.default_rng(0)
-    b = np.hstack([rng.uniform(-1, 1, (n, k)), 1e-150 * rng.uniform(-1, 1, (n, n - k))])
-    assert n > PYTHON_FLOAT_CUTOFF
-    _assert_matches_lapack(b, "[big | 1e-150 small]")
+    def counted(b, *args):
+        calls.append(len(b))
+        return rescaled(b, *args)
+
+    monkeypatch.setattr(eig, "_rescaled_pairs", counted)
+    assert 6 <= PYTHON_FLOAT_CUTOFF < 24
+    for n in (6, 24):
+        rng = np.random.default_rng(0)
+        k = n // 2
+        b = np.hstack([rng.uniform(-1, 1, (n, k)), 1e-150 * rng.uniform(-1, 1, (n, n - k))])
+        calls.clear()
+        _assert_matches_lapack(b, f"[big | 1e-150 small], n={n}")
+        assert calls and max(calls) > 1, f"n={n}: {calls}"
+
+
+def _exact_rotation(alpha, beta, gamma, d):
+    """``(c, t)`` to 60 digits for rows divided by ``2^(r + d)`` and ``2^r``
+    whose Gram entries are then ``alpha``, ``beta`` and ``gamma``: the rotation
+    that annihilates ``gamma 2^d`` between ``alpha 4^d`` and ``beta``."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        alpha, beta, gamma = map(decimal.Decimal, (alpha, beta, gamma))
+        scale = decimal.Decimal(2) ** d
+        zeta = (beta / scale - alpha * scale) / (2 * gamma)
+        t = (1 if zeta >= 0 else -1) / (abs(zeta) + (1 + zeta * zeta).sqrt())
+        return 1 / (1 + t * t).sqrt(), t
+
+
+def _relative_errors(values, exact):
+    with decimal.localcontext(decimal.Context(prec=60)):
+        return [float(abs(decimal.Decimal(v) - x) / abs(x)) for v, x in zip(values, exact)]
 
 
 def test_batched_rotations_match_the_scalar_rotation_with_rows_apart():
-    # _rotations on the rescaled path against _rotation, one pair at a time:
-    # Gram entries of rows divided by 2^(r + d) and 2^r, each with its largest
-    # entry in [1/2, 1), for exponent gaps d up to the float range
+    # _rotations on the rescaled path, for exponent gaps d up to the float
+    # range, and _rotation, with d == 0, against the exact rotation: Gram
+    # entries of rows divided by 2^(r + d) and 2^r, each with its largest
+    # entry in [1/2, 1)
     rng = np.random.default_rng(7)
     m = 400
     d = np.concatenate([np.zeros(40, dtype=int), rng.integers(-1020, 1021, m - 40)])
@@ -237,10 +263,14 @@ def test_batched_rotations_match_the_scalar_rotation_with_rows_apart():
     gamma = rng.uniform(-1, 1, m) * np.sqrt(alpha * beta)
     k = np.abs(d)
     c, t = eig._rotations(np.ldexp(alpha, d - k), np.ldexp(beta, -d - k), gamma, np.ldexp(2.0, -k))
-    expected = np.array([eig._rotation(*args) for args in zip(alpha.tolist(), beta.tolist(), gamma.tolist(), d.tolist())])
+    args = list(zip(alpha.tolist(), beta.tolist(), gamma.tolist()))
+    exact_c, exact_t = zip(*(_exact_rotation(*a, dk) for a, dk in zip(args, d.tolist())))
+    scalar_c, scalar_t = zip(*(eig._rotation(*a) for a in args))
+    unscaled_c, unscaled_t = zip(*(_exact_rotation(*a, 0) for a in args))
     eps = np.finfo(float).eps
-    np.testing.assert_allclose(c, expected[:, 0], rtol=4 * eps, atol=0)
-    np.testing.assert_allclose(t, expected[:, 1], rtol=4 * eps, atol=0)
+    for name, values, exact in (("batched c", c.tolist(), exact_c), ("batched t", t.tolist(), exact_t),
+                                ("scalar c", scalar_c, unscaled_c), ("scalar t", scalar_t, unscaled_t)):
+        assert max(_relative_errors(values, exact)) <= 4 * eps, name
 
 
 def test_one_sided_svd_rejects_a_column_below_the_float_range_at_once():
@@ -434,3 +464,29 @@ def test_exactly_parallel_columns_converge(monkeypatch, cutoff):
             "constant columns": np.outer(np.ones(n), rng.standard_normal(n)),
         }.items():
             _assert_matches_lapack(b, f"{name}, n={n}")
+
+
+def test_zeroed_rows_leave_both_kernels_at_once(monkeypatch):
+    # the all-ones and constant-column blocks end with one live column, the
+    # others zeroed by the zeroing rule.  A zeroed row is not tested again, so
+    # its squared norm of 0 neither hands a block on the list kernel over to the
+    # batched one nor sends a batched step to the rescaled path, which every
+    # later step of its sweep took when the row stayed in it
+    def rescaled(*args):
+        raise AssertionError("a step took the rescaled path")
+
+    batched = []
+    batch_sweep = eig._batch_sweep
+
+    def counted(w, n, *args):
+        batched.append(n)
+        return batch_sweep(w, n, *args)
+
+    monkeypatch.setattr(eig, "_rescaled_pairs", rescaled)
+    monkeypatch.setattr(eig, "_batch_sweep", counted)
+    for n in range(2, MAX_BLOCK_SIZE + 1):
+        rng = np.random.default_rng(n)
+        for name, b in {"ones": np.ones((n, n)),
+                        "constant columns": np.outer(np.ones(n), rng.standard_normal(n))}.items():
+            _assert_matches_lapack(b, f"{name}, n={n}")
+    assert min(batched) > PYTHON_FLOAT_CUTOFF  # no block was handed over
