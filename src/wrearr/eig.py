@@ -27,9 +27,31 @@ arithmetic.  Each of its sweeps takes the columns in de Rijk's order, by
 decreasing squared norm (de Rijk 1989; LAPACK's ``xGESVJ``), and skips a
 pair whose two columns were not rotated since it last passed the test, since
 it would pass again on the same floats; on standard normal blocks of size 8
-to 13 this takes about 19% fewer pair tests and 9% fewer rotations than the
-cyclic order.  Its squared norms are computed once per solve and then kept
-up to date from each rotation (LAPACK's norm update).
+to 13 started from ``[b^T | I]`` this takes about 19% fewer pair tests and
+9% fewer rotations than the cyclic order.  Its squared norms are computed
+once per solve and then kept up to date from each rotation (LAPACK's norm
+update).
+
+A block of size 3 to ``PYTHON_FLOAT_CUTOFF`` is preconditioned where that
+keeps the accuracy (Drmac & Veselic 2008): LAPACK's SVD of the prescaled
+block gives right singular vectors ``V0``, and the sweeps start from the rows
+``[C^T | V0^T]`` of ``C = b V0``, whose columns are already nearly
+orthogonal.  The rows then end as ``[(C W)^T | (V0 W)^T]``, so ``v = V0 W``,
+and the singular values are still the column norms Jacobi stops on.  Forming
+``C`` in floats costs about ``n eps sigma_1`` absolute, where Jacobi on ``b``
+keeps graded blocks relatively accurate (Demmel & Veselic 1992).  So a block
+takes this path only when LAPACK converges, its ``sigma_n`` is at least
+``PRECONDITION_RATIO`` (2^-10) times its ``sigma_1``, and every entry of
+``V0^T V0 - I`` is at most ``4 n eps``; any ``V0`` that is orthogonal gives
+the same singular values.  Graded, rank-deficient and projection blocks, and
+a block with a zero column, start from ``[b^T | I]``.  LAPACK sees the
+prescaled block, so ``2^k a`` still gives the bits of ``a``.  On standard
+normal blocks and their Gram matrices a solve takes about half the pair
+tests and a quarter to a third of the rotations it takes from ``[b^T | I]``,
+and 1.0-1.1x the time at n = 3, 0.7x at 4, 0.55-0.65x at 5 and 6 and
+0.3-0.5x at 8 to 13 (alternating rounds in one process, Python 3.11, numpy
+2.4, OpenBLAS 0.3.31).  A 2x2 block takes one rotation, which LAPACK would
+only make dearer.
 
 A larger block keeps the rows as one ``n x 2n`` array, and ``_batch_sweep``
 takes the pairs in the round-robin order of Brent & Luk (1985): each of the
@@ -40,11 +62,12 @@ rows (two ``einsum`` calls), rotates those that fail with one stacked 2x2
 ``matmul`` and writes them back with one scatter.  No squared norm is kept
 from one step to the next: kept by the update alone, they lose their digits
 and go negative on the blocks of size 64 and the cancelling columns of the
-tests.  The cutoff is where the batched kernel becomes the faster one: per
-solve on standard normal blocks it takes 1.06-1.12x the list kernel's time
-at n = 13, 0.90-1.01x at 14, 0.81-0.92x at 15, about 0.57x at 20, 0.39x at
-24 and 0.30x at 32 (alternating rounds in one process, Python 3.11, numpy
-2.4).  A sweep that rotates nothing ends either kernel.
+tests.  The cutoff is where the batched kernel becomes the faster one on
+blocks started from ``[b^T | I]``: per solve on standard normal blocks it
+takes 1.06-1.12x the list kernel's time at n = 13, 0.90-1.01x at 14,
+0.81-0.92x at 15, about 0.57x at 20, 0.39x at 24 and 0.30x at 32
+(alternating rounds in one process, Python 3.11, numpy 2.4), all without
+preconditioning.  A sweep that rotates nothing ends either kernel.
 
 A rotated column whose squared norm is at most ``_off_diagonal_tol(n)**2``
 times the smaller of its pair's old ones is that rotation's rounding error,
@@ -60,8 +83,9 @@ batched kernel only, from its rows divided by their own powers of two.  It
 does so for a whole step, only when the step's smallest squared norm is below
 ``_TINY``, and exempts such pairs from the zeroing rule.  The list kernel
 stops at the first such pair it would test, and the batched kernel finishes
-the block from its current rows, whatever its size: Jacobi's accuracy does
-not depend on the order of the pairs.  A zeroed row, with its squared norm
+the block from its current rows, whatever its size, within the sweeps left
+of ``MAX_SWEEPS``, the one it stopped in counted: Jacobi's accuracy does not
+depend on the order of the pairs.  A zeroed row, with its squared norm
 of 0, never hands a block over, since it is not tested again.  The final
 norms, one sum per row, divide a row the same way when its squared norm is
 below ``_TINY``; a column that is all subnormal raises
@@ -83,6 +107,7 @@ MAX_SWEEPS = 100
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny) / _EPS
 PYTHON_FLOAT_CUTOFF = 13  # largest block that sweeps on Python floats
+PRECONDITION_RATIO = 2.0**-10  # least sigma_n / sigma_1 that the list kernel preconditions
 
 
 def _off_diagonal_tol(n):
@@ -91,8 +116,8 @@ def _off_diagonal_tol(n):
 
 
 def _prescaled(matrix, block_index):
-    """``(cols, e)`` with ``matrix = 2^e m``, the largest entry of ``m`` in [1/2, 1)
-    and ``cols`` the columns of ``m`` as lists of Python floats."""
+    """``(bt, e)`` with ``matrix = 2^e b``, the largest entry of ``b`` in [1/2, 1)
+    and ``bt`` the array ``b^T``."""
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise EigenSolverError(block_index, "matrix must be square")
@@ -100,7 +125,23 @@ def _prescaled(matrix, block_index):
     if not math.isfinite(top):
         raise EigenSolverError(block_index, "matrix has non-finite entries")
     e = math.frexp(top)[1]
-    return np.ldexp(a.T, -e).tolist(), e
+    return np.ldexp(a.T, -e), e
+
+
+def _preconditioner(bt):
+    """``V0^T``, LAPACK's right singular vectors of ``b = bt^T`` as rows, when
+    its ``sigma_n >= PRECONDITION_RATIO sigma_1`` and every entry of
+    ``V0^T V0 - I`` is at most ``4 n eps``; None otherwise, and when LAPACK
+    does not converge."""
+    try:
+        _, s, vt = np.linalg.svd(bt.T)
+    except np.linalg.LinAlgError:
+        return None
+    if s[-1] < PRECONDITION_RATIO * s[0]:
+        return None
+    g = vt @ vt.T
+    g.flat[::len(g) + 1] -= 1.0
+    return vt if np.abs(g).max() <= 4 * len(g) * _EPS else None
 
 
 def _rotation(app, aqq, apq):
@@ -147,8 +188,10 @@ def _list_square_norms(w, n):
 def _sweep(w, n, live, block_index, tol):
     """Sweeps over the ``live`` rows of ``w``, a list of lists of Python
     floats, until every pair passes the relative test ``tol``, and returns
-    True; returns False instead at the first pair it would test that has a
-    squared norm below ``_TINY``, leaving the rows to ``_batch_sweep``.
+    None; returns instead the number of sweeps it began, the one it stops in
+    too, at the first pair it would test that has a squared norm below
+    ``_TINY``, leaving the rows and the rest of ``MAX_SWEEPS`` to
+    ``_batch_sweep``.
 
     The squared norms are computed once and then kept: a rotation by tangent
     ``t`` takes ``alpha`` to ``alpha - t gamma`` and ``beta`` to
@@ -168,7 +211,7 @@ def _sweep(w, n, live, block_index, tol):
     rotations = 0
     rotated_at = [0] * n
     passed_at = [-1] * (n * n)
-    for _ in range(MAX_SWEEPS):
+    for sweep in range(1, MAX_SWEEPS + 1):
         before = rotations
         order = sorted(live, key=norms.__getitem__, reverse=True)
         for i, p in enumerate(order):
@@ -179,7 +222,7 @@ def _sweep(w, n, live, block_index, tol):
                     continue
                 alpha, beta = norms[p], norms[q]
                 if alpha < _TINY or beta < _TINY:
-                    return False
+                    return sweep
                 x, y, gamma = _list_pair(w, p, q, n)
                 if gamma == 0.0 or abs(gamma) <= tol * sqrt(alpha) * sqrt(beta):
                     passed_at[row + q] = passed_at[q * n + p] = rotations
@@ -198,7 +241,7 @@ def _sweep(w, n, live, block_index, tol):
                         passed_at[k * n:k * n + n] = passed_at[k::n] = [math.inf] * n
                 norms[p], norms[q] = a, b
         if rotations == before:
-            return True
+            return None
     raise _unconverged(block_index, np.asarray(w)[:, :n])
 
 
@@ -278,9 +321,10 @@ def _rescaled_pairs(b, tol, block_index):
     return hot, np.ldexp(alpha, d - k), np.ldexp(beta, -d - k), gamma, np.ldexp(2.0, -k[hot])
 
 
-def _batch_sweep(w, n, live, block_index, tol):
+def _batch_sweep(w, n, live, block_index, tol, spent):
     """Sweeps over the ``live`` rows of the array ``w`` in round-robin steps
-    until every pair passes the relative test ``tol``.
+    until every pair passes the relative test ``tol``, within the
+    ``MAX_SWEEPS - spent`` sweeps that ``_sweep`` left.
 
     Each step gathers its pairs' rows at once, tests them with the squared
     norms and inner products of the gathered rows, and rotates those that fail
@@ -294,7 +338,7 @@ def _batch_sweep(w, n, live, block_index, tol):
     alive = np.zeros(n, dtype=bool)
     alive[live] = True
     steps = _live_steps(alive)
-    for _ in range(MAX_SWEEPS):
+    for _ in range(spent, MAX_SWEEPS):
         rotated = False
         for pairs in steps:
             if not len(pairs):
@@ -349,25 +393,37 @@ def one_sided_svd(matrix, block_index=0):
     Rotates pairs of columns of ``matrix`` until they are mutually orthogonal
     relative to ``_off_diagonal_tol(n)``, within ``MAX_SWEEPS`` sweeps; the
     column norms are then the singular values and the accumulated rotations the
-    right singular vectors.  Returns ``(s, v)`` with ``s`` descending and
+    right singular vectors.  A block of size 3 to ``PYTHON_FLOAT_CUTOFF`` that
+    passes the preconditioning gate starts from ``matrix @ V0`` instead, with
+    ``V0`` LAPACK's right singular vectors, and they are ``V0`` times the
+    rotations.  Returns ``(s, v)`` with ``s`` descending and
     ``matrix.T @ matrix = v @ diag(s**2) @ v.T``.  Raises
     :class:`NormOverflowError` when ``s[0]``, the block's operator norm, is
     beyond the float range although every entry is finite.
     """
-    cols, e = _prescaled(matrix, block_index)
+    bt, e = _prescaled(matrix, block_index)
+    cols = bt.tolist()
     n = len(cols)
     if n < 2:  # |a| and 1, bit for bit what the final norms below would give
         return np.array([math.ldexp(abs(c[0]), e) for c in cols]), np.ones((n, n))
-    rows = [c + u for c, u in zip(cols, np.eye(n).tolist())]  # [b^T | I]
     live = [k for k, c in enumerate(cols) if any(c)]  # a zero column never rotates
+    # a zero column is a zero singular value, which fails the gate
+    vt = _preconditioner(bt) if 3 <= n <= PYTHON_FLOAT_CUTOFF and len(live) == n else None
+    if vt is None:
+        rows = [c + u for c, u in zip(cols, np.eye(n).tolist())]  # [b^T | I]
+    else:  # [C^T | V0^T], C = b V0, whose columns are at least sigma_n long
+        rows = np.hstack((vt @ bt, vt)).tolist()
     tol = _off_diagonal_tol(n)
-    # one live column has no pair to test
-    if n <= PYTHON_FLOAT_CUTOFF and (len(live) < 2 or _sweep(rows, n, live, block_index, tol)):
+    # None while the list kernel has the block, then the sweeps it spent
+    spent = 0 if n > PYTHON_FLOAT_CUTOFF else None
+    if spent is None and len(live) > 1:  # one live column has no pair to test
+        spent = _sweep(rows, n, live, block_index, tol)
+    if spent is None:
         norms = _list_square_norms(rows, n)
     else:  # a larger block, or a smaller one whose sweep met a column below _TINY
         rows = np.array(rows)
         if len(live) > 1:
-            _batch_sweep(rows, n, live, block_index, tol)
+            _batch_sweep(rows, n, live, block_index, tol, spent)
         norms = np.einsum("ij,ij->i", rows[:, :n], rows[:, :n]).tolist()
     sv = _singular_values(rows, norms, n, e, block_index)
     order = sorted(range(n), key=sv.__getitem__, reverse=True)

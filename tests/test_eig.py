@@ -17,6 +17,18 @@ BATCHED = 16
 assert BATCHED > PYTHON_FLOAT_CUTOFF
 
 
+def _preconditioned(b):
+    """Whether the list kernel starts ``b`` from LAPACK's right singular vectors."""
+    return eig._preconditioner(eig._prescaled(b, 0)[0]) is not None
+
+
+@pytest.fixture
+def plain_path(monkeypatch):
+    """Sends every block on the list kernel down the path without
+    preconditioning, which starts from ``[b^T | I]``."""
+    monkeypatch.setattr(eig, "_preconditioner", lambda bt: None)
+
+
 @pytest.mark.parametrize("n", sorted({1, 2, 3, 5, 8, 16, 20, 21, 64, *KERNEL_SIZES}))
 def test_one_sided_svd_matches_lapack(n):
     rng = np.random.default_rng(100 + n)
@@ -46,7 +58,8 @@ def test_one_sided_svd_tiny_singular_value_keeps_relative_accuracy():
     assert s[1] == pytest.approx(1e-9, rel=1e-9)
 
 
-def test_non_convergence_reports_block_index(monkeypatch):
+def test_non_convergence_reports_block_index(monkeypatch, plain_path):
+    # preconditioned, the n = 4 block is orthogonal to 3.3e-16 after one sweep
     for n in (4, PYTHON_FLOAT_CUTOFF + 1):
         s = np.random.default_rng(1).uniform(-1, 1, (n, n))
         m = s + s.T + np.eye(n)
@@ -105,10 +118,13 @@ SCALE_EXPONENTS = [-1000, -530, -43, 0, 255, 498, 530, 1000]
 @pytest.mark.parametrize("k", SCALE_EXPONENTS)
 def test_solvers_are_scale_equivariant(k):
     # prescaling by a power of two is exact and the stopping rule is relative,
-    # so results for 2^k a are exactly those for a times 2^k, on the stacked
-    # rotations of the batched kernel too, at the benchmark's sizes and the cap
-    for n in (1, 6, *KERNEL_SIZES, 32, MAX_BLOCK_SIZE):
+    # so results for 2^k a are exactly those for a times 2^k: on the
+    # preconditioned list kernel too, whose LAPACK call sees the prescaled
+    # block, and on the stacked rotations of the batched kernel, at the
+    # benchmark's sizes and the cap
+    for n in (1, 3, 4, 5, 6, *KERNEL_SIZES, 32, MAX_BLOCK_SIZE):
         a = np.random.default_rng(6).uniform(-1, 1, (n, n))
+        assert _preconditioned(a) or not 3 <= n <= PYTHON_FLOAT_CUTOFF, f"n={n}"
         s, v = one_sided_svd(a)
         s_k, v_k = one_sided_svd(np.ldexp(a, k))
         np.testing.assert_array_equal(s_k, np.ldexp(s, k), err_msg=f"n={n}")
@@ -234,6 +250,42 @@ def test_batched_kernel_rotates_tiny_pairs_a_step_at_a_time(monkeypatch):
         assert calls and max(calls) > 1, f"n={n}: {calls}"
 
 
+def test_both_kernels_share_one_sweep_budget(monkeypatch):
+    # [big | 1e-150 small] at n = 6: the list kernel meets a tiny pair in its
+    # first sweep, which counts, and the batched kernel may sweep only the rest
+    # of MAX_SWEEPS; a block that still does not converge reports the total
+    n, k = 6, 3
+    rng = np.random.default_rng(0)
+    b = np.hstack([rng.uniform(-1, 1, (n, k)), 1e-150 * rng.uniform(-1, 1, (n, n - k))])
+    spent, steps = [], []
+    sweep, batch_pairs = eig._sweep, eig._batch_pairs
+
+    def counted_sweep(*args):
+        spent.append(sweep(*args))
+        return spent[-1]
+
+    def counted_pairs(*args):
+        steps.append(1)
+        return batch_pairs(*args)
+
+    monkeypatch.setattr(eig, "_sweep", counted_sweep)
+    monkeypatch.setattr(eig, "_batch_pairs", counted_pairs)
+    converged = []
+    for m in range(1, 9):
+        monkeypatch.setattr(eig, "MAX_SWEEPS", m)
+        spent.clear()
+        steps.clear()
+        try:
+            one_sided_svd(b)
+            converged.append(m)
+        except EigenSolverError as err:
+            assert err.sweeps == m and f"after {m} sweeps" in str(err), f"m={m}"
+            assert not converged, f"m={m}"
+        assert spent == [1], f"m={m}"
+        assert len(steps) <= (m - 1) * (n - 1), f"m={m}: {len(steps)} batched steps"
+    assert 1 < converged[0] < 8
+
+
 def _exact_rotation(alpha, beta, gamma, d):
     """``(c, t)`` to 60 digits for rows divided by ``2^(r + d)`` and ``2^r``
     whose Gram entries are then ``alpha``, ``beta`` and ``gamma``: the rotation
@@ -318,7 +370,7 @@ def kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("n", sorted({6, BATCHED, 20, 21, *KERNEL_SIZES}))
-def test_one_rotated_pair_retests_only_its_own_pairs(n, kernel_calls):
+def test_one_rotated_pair_retests_only_its_own_pairs(n, kernel_calls, plain_path):
     # orthogonal columns, then columns 1 and n - 2 mixed: one rotation makes
     # them orthogonal again.  The list kernel then tests again only the pairs
     # holding one of them that were tested before it, at most 2n - 3; the
@@ -341,9 +393,9 @@ CYCLIC_PAIR_TESTS = 19478
 CYCLIC_ROTATIONS = 14138
 
 
-def test_spectral_blocks_take_fewer_pair_tests_and_rotations(kernel_calls):
-    # six standard normal blocks of each size, all on the list kernel, each
-    # solved as a and as |a|
+def test_spectral_blocks_take_fewer_pair_tests_and_rotations(kernel_calls, plain_path):
+    # six standard normal blocks of each size, all on the list kernel without
+    # preconditioning, each solved as a and as |a|
     sizes = (8, 10, 12, 13)
     assert max(sizes) <= PYTHON_FLOAT_CUTOFF
     rng = np.random.default_rng(0)
@@ -490,3 +542,77 @@ def test_zeroed_rows_leave_both_kernels_at_once(monkeypatch):
                         "constant columns": np.outer(np.ones(n), rng.standard_normal(n))}.items():
             _assert_matches_lapack(b, f"{name}, n={n}")
     assert min(batched) > PYTHON_FLOAT_CUTOFF  # no block was handed over
+
+
+def test_graded_rank_deficient_and_projection_blocks_take_the_plain_path():
+    # forming C = b V0 costs about n eps sigma_1 absolute, where Jacobi on b
+    # keeps graded, rank-deficient and projection blocks relatively accurate;
+    # each has sigma_n < 2^-10 sigma_1 and starts from [b^T | I]
+    blocks = {f"graded {scales}": np.random.default_rng(22).uniform(-1, 1, (len(scales),) * 2) * scales
+              for scales in GRADED_COLUMN_SCALES}
+    for n in range(3, PYTHON_FLOAT_CUTOFF + 1):
+        rng = np.random.default_rng(n)
+        q = np.linalg.qr(rng.standard_normal((n, n - 1)))[0]
+        blocks[f"rank {n - 1}, n={n}"] = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n))
+        blocks[f"rank 1, n={n}"] = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+        blocks[f"ones, n={n}"] = np.ones((n, n))
+        blocks[f"projection, n={n}"] = q @ q.T
+        blocks[f"projection of rank 1, n={n}"] = np.outer(q[:, 0], q[:, 0])
+    for name, b in blocks.items():
+        assert not _preconditioned(b), name
+
+
+def test_diagonal_blocks_are_exact_on_the_preconditioned_path():
+    # LAPACK's V0 of a diagonal or signed-permuted diagonal block is a signed
+    # permutation, so C = b V0 is exact and its column norms are exactly |d|
+    rng = np.random.default_rng(5)
+    for n in range(3, PYTHON_FLOAT_CUTOFF + 1):
+        for trial in range(20):
+            d = np.ldexp(rng.uniform(1, 2, n), rng.integers(-9, 1, n)) * rng.choice([-1.0, 1.0], n)
+            b = np.diag(d)[rng.permutation(n)] if trial % 2 else np.diag(d)
+            assert _preconditioned(b), f"n={n}, trial={trial}"
+            np.testing.assert_array_equal(one_sided_svd(b)[0], np.sort(np.abs(d))[::-1],
+                                          err_msg=f"n={n}, trial={trial}")
+
+
+def _failing_svd(b):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _skewed_svd(b, lapack=np.linalg.svd):
+    # V0 rows 1e-13 off orthogonal: C = b V0 would shift the singular values
+    u, s, vt = lapack(b)
+    vt[0] += 1e-13 * vt[1]
+    return u, s, vt
+
+
+@pytest.mark.parametrize("svd", [_failing_svd, _skewed_svd])
+def test_a_lapack_failure_or_a_skewed_v0_falls_back_to_the_plain_path(monkeypatch, svd):
+    blocks = [np.random.default_rng(n).standard_normal((n, n)) for n in (3, 6, PYTHON_FLOAT_CUTOFF)]
+    assert all(_preconditioned(b) for b in blocks)
+    with monkeypatch.context() as patch:
+        patch.setattr(eig, "_preconditioner", lambda bt: None)
+        plain = [one_sided_svd(b) for b in blocks]
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return svd(b)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for b, (s, v) in zip(blocks, plain):
+        s_f, v_f = one_sided_svd(b)
+        assert s_f.tobytes() == s.tobytes() and v_f.tobytes() == v.tobytes(), f"n={len(b)}"
+    assert len(calls) == len(blocks)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_preconditioned_path_keeps_relative_accuracy_near_the_gate(n):
+    # sigma_n = 2^-9.5 sigma_1, just inside the gate: C = b V0's absolute error
+    # of about n eps sigma_1 is still within 1e-13 of sigma_n
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        b = (u * 2.0 ** np.linspace(0.0, -9.5, n)) @ v.T
+        assert _preconditioned(b), f"seed={seed}"
+        _assert_relatively_accurate(b, [_gram_polynomial(b)])
