@@ -23,14 +23,9 @@ Row k of the work array ``[b^T | I]`` holds column k of ``b`` and then of
 list of Python floats, built from one ``tolist()`` of the prescaled block,
 and ``_sweep`` rotates one pair at a time with plain sums and list
 comprehensions: on so few entries a numpy call per pair costs more than its
-arithmetic.  Each of its sweeps takes the columns in de Rijk's order, by
-decreasing squared norm (de Rijk 1989; LAPACK's ``xGESVJ``), and skips a
-pair whose two columns were not rotated since it last passed the test, since
-it would pass again on the same floats; on standard normal blocks of size 8
-to 13 started from ``[b^T | I]`` this takes about 19% fewer pair tests and
-9% fewer rotations than the cyclic order.  Its squared norms are computed
-once per solve and then kept up to date from each rotation (LAPACK's norm
-update).
+arithmetic.  Each of its sweeps takes the pairs in cyclic order, (p, q) with
+p < q in index order.  Its squared norms are computed once per solve and
+then kept up to date from each rotation (LAPACK's norm update).
 
 A block of size 3 to ``PYTHON_FLOAT_CUTOFF`` is preconditioned where that
 keeps the accuracy (Drmac & Veselic 2008): LAPACK's SVD of the prescaled
@@ -46,12 +41,12 @@ takes this path only when LAPACK converges, its ``sigma_n`` is at least
 the same singular values.  Graded, rank-deficient and projection blocks, and
 a block with a zero column, start from ``[b^T | I]``.  LAPACK sees the
 prescaled block, so ``2^k a`` still gives the bits of ``a``.  On standard
-normal blocks and their Gram matrices a solve takes about half the pair
-tests and a quarter to a third of the rotations it takes from ``[b^T | I]``,
-and 1.0-1.1x the time at n = 3, 0.7x at 4, 0.55-0.65x at 5 and 6 and
-0.3-0.5x at 8 to 13 (alternating rounds in one process, Python 3.11, numpy
-2.4, OpenBLAS 0.3.31).  A 2x2 block takes one rotation, which LAPACK would
-only make dearer.
+normal blocks and their Gram matrices a solve takes 0.3-0.4x the pair tests
+and 0.04-0.11x the rotations it takes from ``[b^T | I]``, and 0.85-0.93x
+the time at n = 3, 0.6x at 4, 0.3-0.4x at 5 and 6 and 0.13-0.25x at 8 to
+13 (alternating rounds in one process, Python 3.11, numpy 2.4, OpenBLAS
+0.3.31).  A 2x2 block takes one rotation, which LAPACK would only make
+dearer.
 
 A larger block keeps the rows as one ``n x 2n`` array, and ``_batch_sweep``
 takes the pairs in the round-robin order of Brent & Luk (1985): each of the
@@ -62,12 +57,13 @@ rows (two ``einsum`` calls), rotates those that fail with one stacked 2x2
 ``matmul`` and writes them back with one scatter.  No squared norm is kept
 from one step to the next: kept by the update alone, they lose their digits
 and go negative on the blocks of size 64 and the cancelling columns of the
-tests.  The cutoff is where the batched kernel becomes the faster one on
-blocks started from ``[b^T | I]``: per solve on standard normal blocks it
-takes 1.06-1.12x the list kernel's time at n = 13, 0.90-1.01x at 14,
-0.81-0.92x at 15, about 0.57x at 20, 0.39x at 24 and 0.30x at 32
-(alternating rounds in one process, Python 3.11, numpy 2.4), all without
-preconditioning.  A sweep that rotates nothing ends either kernel.
+tests.  On blocks started from ``[b^T | I]`` the batched kernel takes, per
+solve on standard normal blocks, 1.27x the list kernel's time at n = 11,
+0.9-1.0x at 12, 0.83-0.95x at 13, about 0.8x at 14 and 15, 0.5x at 20,
+0.36x at 24 and 0.24x at 32 (alternating rounds in one process, Python
+3.11, numpy 2.4); the cutoff stays at 13, where most blocks take the list
+kernel's preconditioned path.  A sweep that rotates nothing ends either
+kernel.
 
 A rotated column whose squared norm is at most ``_off_diagonal_tol(n)**2``
 times the smaller of its pair's old ones is that rotation's rounding error,
@@ -97,6 +93,7 @@ value.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from operator import mul
 
 import numpy as np
@@ -193,54 +190,39 @@ def _sweep(w, n, live, block_index, tol):
     ``_TINY``, leaving the rows and the rest of ``MAX_SWEEPS`` to
     ``_batch_sweep``.
 
-    The squared norms are computed once and then kept: a rotation by tangent
-    ``t`` takes ``alpha`` to ``alpha - t gamma`` and ``beta`` to
-    ``beta + t gamma``.  Both are computed again from their rows when either
-    updated value fell below a quarter of its old one, where the update
-    cancels; a row whose recomputed squared norm is then at most ``tol^2``
-    times the smaller of the pair's old ones is set to zero, leaves ``live``
-    and is not tested again.  Each sweep takes the rows by decreasing kept
-    squared norm, ties in index order (de Rijk's order).  A pair neither of
-    whose rows was rotated since it last passed would recompute the same
-    floats and pass again, so it is skipped: ``rotated_at[k]`` is the rotation
-    count just after row k's last rotation, and ``passed_at[p * n + q]`` the
-    count when pair (p, q) last passed, infinite for a zeroed row's pairs.
+    Each sweep takes the pairs of ``live`` rows in cyclic order, (p, q) with
+    p < q in index order.  The squared norms are computed once and then kept:
+    a rotation by tangent ``t`` takes ``alpha`` to ``alpha - t gamma`` and
+    ``beta`` to ``beta + t gamma``.  Both are computed again from their rows
+    when either updated value fell below a quarter of its old one, where the
+    update cancels; a row whose recomputed squared norm is then at most
+    ``tol^2`` times the smaller of the pair's old ones is set to zero, leaves
+    ``live`` and ends the sweep, so that the next one does not test it.
     """
     sqrt = math.sqrt
     norms = _list_square_norms(w, n)
-    rotations = 0
-    rotated_at = [0] * n
-    passed_at = [-1] * (n * n)
     for sweep in range(1, MAX_SWEEPS + 1):
-        before = rotations
-        order = sorted(live, key=norms.__getitem__, reverse=True)
-        for i, p in enumerate(order):
-            row = p * n
-            for q in order[i + 1:]:
-                last = passed_at[row + q]
-                if last >= rotated_at[p] and last >= rotated_at[q]:
-                    continue
-                alpha, beta = norms[p], norms[q]
-                if alpha < _TINY or beta < _TINY:
-                    return sweep
-                x, y, gamma = _list_pair(w, p, q, n)
-                if gamma == 0.0 or abs(gamma) <= tol * sqrt(alpha) * sqrt(beta):
-                    passed_at[row + q] = passed_at[q * n + p] = rotations
-                    continue
-                c, t = _rotation(alpha, beta, gamma)
-                _list_rotate(w, p, q, x, y, c, t * c)
-                rotations += 1
-                rotated_at[p] = rotated_at[q] = rotations
-                a, b = alpha - t * gamma, beta + t * gamma
-                if 4.0 * a < alpha or 4.0 * b < beta:
-                    a, b = _list_square_norms((w[p], w[q]), n)
-                    if min(a, b) <= tol * tol * min(alpha, beta):
-                        k = p if a <= b else q
-                        w[k][:n] = [0.0] * n
-                        live.remove(k)
-                        passed_at[k * n:k * n + n] = passed_at[k::n] = [math.inf] * n
-                norms[p], norms[q] = a, b
-        if rotations == before:
+        rotated = False
+        for p, q in combinations(live, 2):
+            alpha, beta = norms[p], norms[q]
+            if alpha < _TINY or beta < _TINY:
+                return sweep
+            x, y, gamma = _list_pair(w, p, q, n)
+            if gamma == 0.0 or abs(gamma) <= tol * sqrt(alpha) * sqrt(beta):
+                continue
+            c, t = _rotation(alpha, beta, gamma)
+            _list_rotate(w, p, q, x, y, c, t * c)
+            rotated = True
+            a, b = alpha - t * gamma, beta + t * gamma
+            if 4.0 * a < alpha or 4.0 * b < beta:
+                a, b = _list_square_norms((w[p], w[q]), n)
+            norms[p], norms[q] = a, b
+            if min(a, b) <= tol * tol * min(alpha, beta):  # an update alone keeps a quarter of each
+                k = p if a <= b else q
+                w[k][:n] = [0.0] * n
+                live.remove(k)
+                break
+        if not rotated:
             return None
     raise _unconverged(block_index, np.asarray(w)[:, :n])
 
