@@ -44,7 +44,7 @@ class Algebra:
     and the trace is the Lebesgue integral.
     """
 
-    __slots__ = ("kind", "block_sizes", "trace_weights", "domain_bound")
+    __slots__ = ("kind", "block_sizes", "trace_weights", "domain_bound", "_coordinate_weights")
 
     def __init__(self, kind, block_sizes=None, trace_weights=None, domain_bound=None):
         if kind == "matrix":
@@ -67,6 +67,7 @@ class Algebra:
             self.block_sizes = sizes
             self.trace_weights = weights
             self.domain_bound = None
+            self._coordinate_weights = _frozen(np.array(weights).repeat(sizes))
         elif kind == "steps":
             bound = float(domain_bound)
             if not (bound > 0 and math.isfinite(bound)):
@@ -95,10 +96,10 @@ class Algebra:
         return sum(self.block_sizes) if self.is_matrix else None
 
     def coordinate_weights(self):
-        """Trace weight of each diagonal coordinate, flattened across blocks."""
+        """Trace weight of each diagonal coordinate across the blocks; built once, read-only."""
         if not self.is_matrix:
             raise ValidationError("coordinate weights exist only for matrix algebras")
-        return np.repeat(self.trace_weights, self.block_sizes)
+        return self._coordinate_weights
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
@@ -152,7 +153,7 @@ class Operator:
             for k, (mat, n) in enumerate(zip(mats, algebra.block_sizes)):
                 if mat.shape != (n, n):
                     raise ValidationError(f"block {k} must have shape ({n}, {n})")
-                if not np.all(np.isfinite(mat)):
+                if not np.isfinite(mat).all():
                     raise ValidationError(f"block {k} has non-finite entries")
             self.blocks = tuple(_frozen(m) for m in mats)
             self.step = None
@@ -163,7 +164,7 @@ class Operator:
                 raise ValidationError("step payload must be a StepFunction")
             if step.support_end > algebra.domain_bound:
                 raise ValidationError("step payload exceeds the algebra's domain bound")
-            if not np.all(np.isfinite(step.values)):
+            if not np.isfinite(step.values).all():
                 raise ValidationError("step payload must be finite")
             self.blocks = None
             self.step = step
@@ -190,12 +191,8 @@ class Operator:
         flat = np.asarray(entries, dtype=float)
         if flat.size != algebra.total_dimension:
             raise ValidationError("wrong number of diagonal entries")
-        blocks = []
-        at = 0
-        for n in algebra.block_sizes:
-            blocks.append(np.diag(flat[at : at + n]))
-            at += n
-        return cls(algebra, blocks=blocks)
+        at = np.array((0, *algebra.block_sizes)).cumsum()
+        return cls(algebra, blocks=[np.diag(flat[i:j]) for i, j in zip(at, at[1:])])
 
     @classmethod
     def multiplier(cls, algebra, step):
@@ -210,12 +207,12 @@ class Operator:
     def is_diagonal(self):
         if not self.is_matrix:
             return False
-        return all(np.count_nonzero(b - np.diag(np.diag(b))) == 0 for b in self.blocks)
+        return all(np.count_nonzero(b - np.diagflat(b.diagonal())) == 0 for b in self.blocks)
 
     def diagonal_entries(self):
         if not self.is_diagonal():
             raise ValidationError("operator is not diagonal")
-        return np.concatenate([np.diag(b) for b in self.blocks])
+        return np.concatenate([b.diagonal() for b in self.blocks])
 
     def _same_algebra(self, other):
         if self.algebra != other.algebra:
@@ -282,9 +279,7 @@ class Operator:
 
     def trace(self):
         if self.is_matrix:
-            return float(
-                sum(w * np.trace(b) for w, b in zip(self.algebra.trace_weights, self.blocks))
-            )
+            return float(sum(w * b.trace() for w, b in zip(self.algebra.trace_weights, self.blocks)))
         return integrate(self.step, LEBESGUE)
 
     def __abs__(self):
@@ -293,12 +288,12 @@ class Operator:
     def is_projection(self):
         if self.is_matrix:
             return all(
-                np.max(np.abs(b @ b - b)) <= _ENTRY_TOL
-                and np.max(np.abs(b - b.T)) <= _ENTRY_TOL
+                np.abs(b @ b - b).max() <= _ENTRY_TOL
+                and np.abs(b - b.T).max() <= _ENTRY_TOL
                 for b in self.blocks
             )
         v = self.step.values
-        return bool(np.all(np.minimum(np.abs(v), np.abs(v - 1.0)) <= _ENTRY_TOL))
+        return bool((np.minimum(np.abs(v), np.abs(v - 1.0)) <= _ENTRY_TOL).all())
 
     def __repr__(self):
         if self.is_matrix:
@@ -342,14 +337,14 @@ def _positive_svd(a, label):
     eigenvalue, and a basis that mixes the eigenvectors of ``+l`` and ``-l``.
     """
     sym = a
-    if not all(np.array_equal(b, b.T) for b in a.blocks):
+    if not all((b == b.T).all() for b in a.blocks):
         sym = Operator(a.algebra, blocks=[0.5 * (b + b.T) for b in a.blocks])
     tol = 1e-9 * sym.norm()
     for k, (b, h, (_, v)) in enumerate(zip(a.blocks, sym.blocks, sym._block_svd())):
-        if np.max(np.abs(b - b.T)) > tol:
+        if np.abs(b - b.T).max() > tol:
             raise ValidationError(f"{label} must be symmetric (block {k})")
         d = v.T @ h @ v
-        if np.max(np.abs(d - np.diag(np.diag(d)))) > tol or np.diag(d).min() < -tol:
+        if np.abs(d - np.diagflat(d.diagonal())).max() > tol or d.diagonal().min() < -tol:
             raise ValidationError(f"{label} must be positive semidefinite (block {k})")
     return sym._block_svd(), tol
 
@@ -379,7 +374,7 @@ def singular_value_function(a):
             levels = np.concatenate([s for s, _ in a._block_svd()])
             masses = a.algebra.coordinate_weights()
         else:
-            levels, masses = np.abs(a.step.values), np.diff(a.step.breakpoints)
+            levels, masses = np.abs(a.step.values), LEBESGUE.piece_masses(a.step.breakpoints)
         a._svf = _decreasing(levels, masses)
     return a._svf
 
@@ -394,7 +389,7 @@ def spectral_projection(a, threshold):
     if not threshold >= 0:
         raise ValidationError("threshold must be >= 0")
     if not a.is_matrix:
-        if np.any(a.step.values < 0):
+        if (a.step.values < 0).any():
             raise ValidationError("spectral projection needs a positive multiplier")
         indicator = a.step.map_values(lambda u: np.where(np.asarray(u) > threshold, 1.0, 0.0))
         return Projection(a.algebra, step=indicator)
@@ -420,16 +415,16 @@ def apply_function(psi, a):
     from .errors import InfiniteValueError
 
     if not a.is_matrix:
-        if np.any(a.step.values < 0):
+        if (a.step.values < 0).any():
             raise ValidationError("functional calculus needs a positive multiplier")
         mapped = psi(a.step.values) if a.step.values.size else a.step.values
-        if np.any(np.isinf(mapped)):
+        if np.isinf(mapped).any():
             raise InfiniteValueError("function is infinite on the spectrum")
         return Operator(a.algebra, step=StepFunction._raw(a.step.breakpoints, mapped))
     blocks = []
     for s, v in _positive_svd(a, "functional calculus argument")[0]:
         mapped = np.asarray(psi(s), dtype=float)
-        if np.any(np.isinf(mapped)):
+        if np.isinf(mapped).any():
             raise InfiniteValueError("function is infinite on the spectrum")
         h = (v * mapped) @ v.T
         blocks.append(0.5 * (h + h.T))  # exactly symmetric: the image's SVD is kept

@@ -115,7 +115,7 @@ def _off_diagonal_tol(n):
 def _prescaled(matrix, block_index):
     """``(bt, e)`` with ``matrix = 2^e b``, the largest entry of ``b`` in [1/2, 1)
     and ``bt`` the array ``b^T``."""
-    a = np.array(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise EigenSolverError(block_index, "matrix must be square")
     top = float(np.abs(a).max(initial=0.0))  # inf or nan if any entry is
@@ -157,9 +157,9 @@ def _unconverged(block_index, rows):
     r = np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]
     x = np.ldexp(rows, -r[:, None])
     g = x @ x.T
-    d = np.sqrt(np.diag(g))
+    d = np.sqrt(g.diagonal())
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(g - np.diag(np.diag(g))) / np.outer(d, d)
+        ratio = np.abs(g - np.diagflat(g.diagonal())) / np.outer(d, d)
     off = float(np.nanmax(ratio, initial=0.0))
     return EigenSolverError(block_index, "not converged", sweeps=MAX_SWEEPS, off_diagonal=off)
 
@@ -241,7 +241,7 @@ def _round_robin(n):
     p, q = seats[:, :m // 2], seats[:, :m // 2 - 1:-1]
     real = (p != n) & (q != n)
     p, q = p[real].reshape(m - 1, -1), q[real].reshape(m - 1, -1)
-    return np.hstack((np.minimum(p, q), np.maximum(p, q)))
+    return np.concatenate((np.minimum(p, q), np.maximum(p, q)), axis=1)
 
 
 def _live_steps(alive):
@@ -383,18 +383,24 @@ def one_sided_svd(matrix, block_index=0):
     :class:`NormOverflowError` when ``s[0]``, the block's operator norm, is
     beyond the float range although every entry is finite.
     """
-    bt, e = _prescaled(matrix, block_index)
+    a = np.asarray(matrix, dtype=float)
+    if a.shape == (1, 1):  # |a| and 1, bit for bit what the scaled path would give
+        s = abs(a.item())
+        if not math.isfinite(s):
+            raise EigenSolverError(block_index, "matrix has non-finite entries")
+        return np.array([s]), np.array([[1.0]])
+    bt, e = _prescaled(a, block_index)
     cols = bt.tolist()
     n = len(cols)
-    if n < 2:  # |a| and 1, bit for bit what the final norms below would give
-        return np.array([math.ldexp(abs(c[0]), e) for c in cols]), np.ones((n, n))
+    if not n:  # the empty block
+        return np.zeros(0), np.ones((0, 0))
     live = [k for k, c in enumerate(cols) if any(c)]  # a zero column never rotates
     # a zero column is a zero singular value, which fails the gate
     vt = _preconditioner(bt) if 3 <= n <= PYTHON_FLOAT_CUTOFF and len(live) == n else None
     if vt is None:
         rows = [c + u for c, u in zip(cols, np.eye(n).tolist())]  # [b^T | I]
     else:  # [C^T | V0^T], C = b V0, whose columns are at least sigma_n long
-        rows = np.hstack((vt @ bt, vt)).tolist()
+        rows = np.concatenate((vt @ bt, vt), axis=1).tolist()
     tol = _off_diagonal_tol(n)
     # None while the list kernel has the block, then the sweeps it spent
     spent = 0 if n > PYTHON_FLOAT_CUTOFF else None

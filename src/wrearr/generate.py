@@ -37,7 +37,7 @@ def rng_from_seed(seed):
 def random_step_function(rng, max_pieces=6):
     k = int(rng.integers(1, max_pieces + 1))
     widths = rng.uniform(0.2, 1.2, size=k)
-    breakpoints = np.concatenate([[0.0], np.cumsum(widths)])
+    breakpoints = np.concatenate([[0.0], widths.cumsum()])
     return StepFunction(breakpoints, rng.uniform(0.05, 2.0, size=k))
 
 
@@ -45,10 +45,10 @@ def random_step_weight(rng, max_pieces=8):
     """Non-increasing positive step density with 1 to ``max_pieces`` steps."""
     k = int(rng.integers(1, max_pieces + 1))
     widths = rng.uniform(0.3, 1.5, size=k)
-    breakpoints = np.concatenate([[0.0], np.cumsum(widths)])
+    breakpoints = np.concatenate([[0.0], widths.cumsum()])
     top = rng.uniform(0.5, 3.0)
     ratios = rng.uniform(0.3, 0.9, size=k - 1) if k > 1 else np.array([])
-    values = top * np.concatenate([[1.0], np.cumprod(ratios)])
+    values = top * np.concatenate([[1.0], ratios.cumprod()])
     return StepWeight(StepFunction(breakpoints, values))
 
 
@@ -73,7 +73,7 @@ def random_operator(rng, algebra):
     k = int(rng.integers(1, 6))
     cuts = np.sort(rng.uniform(0.0, algebra.domain_bound, size=k - 1)) if k > 1 else np.array([])
     breakpoints = np.concatenate([[0.0], cuts, [algebra.domain_bound]])
-    keep = np.diff(breakpoints) > 0
+    keep = breakpoints[1:] > breakpoints[:-1]
     breakpoints = np.concatenate([[0.0], breakpoints[1:][keep]])
     values = rng.uniform(-1.0, 1.0, size=int(keep.sum()))
     return Operator(algebra, step=StepFunction(breakpoints, values))
@@ -112,7 +112,7 @@ def random_diagonal_operator(rng, algebra):
 
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+    return q * np.sign(r.diagonal())
 
 
 def random_block_orthogonal(rng, algebra):

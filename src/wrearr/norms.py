@@ -72,7 +72,7 @@ class OrliczFunction:
 
     def __call__(self, u):
         uu = np.asarray(u, dtype=float)
-        if not np.all(uu >= 0):  # also catches nan
+        if not (uu >= 0).all():  # also catches nan
             raise ValidationError("Orlicz functions are evaluated on [0, inf]")
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.asarray(self._fn(uu), dtype=float)

@@ -53,19 +53,17 @@ def _assemble(breakpoints, values):
     bp = np.asarray(breakpoints, dtype=float)
     va = np.asarray(values, dtype=float)
     # drop zero-length pieces (refinement may produce duplicate breakpoints)
-    keep = np.diff(bp) > 0
+    keep = bp[1:] > bp[:-1]
     if not keep.all():
         va = va[keep]
         bp = np.concatenate([bp[:1], bp[1:][keep]])
     if va.size and not (va[-1] != 0.0 and (va[1:] != va[:-1]).all()):
         # merge runs of equal adjacent values
-        starts = np.ones(va.size, dtype=bool)
-        starts[1:] = va[1:] != va[:-1]
-        idx = np.flatnonzero(starts)
+        idx = np.concatenate(([0], (va[1:] != va[:-1]).nonzero()[0] + 1))
         merged_vals = va[idx]
-        ends = np.append(bp[idx[1:]], bp[-1])
+        ends = np.concatenate((bp[idx[1:]], bp[-1:]))
         # strip the zero tail; the function is implicitly 0 beyond the end
-        nz = np.flatnonzero(merged_vals != 0.0)
+        nz = (merged_vals != 0.0).nonzero()[0]
         cut = nz[-1] + 1 if nz.size else 0
         bp = np.concatenate([bp[:1], ends[:cut]])
         va = merged_vals[:cut]
@@ -96,17 +94,17 @@ class StepFunction:
     def __init__(self, breakpoints, values):
         # copied: _assemble keeps canonical input as given, and the caller may
         # still write to its own arrays
-        bp = np.atleast_1d(np.array(breakpoints, dtype=float))
-        va = np.atleast_1d(np.array(values, dtype=float))
+        bp = np.array(breakpoints, dtype=float, ndmin=1)
+        va = np.array(values, dtype=float, ndmin=1)
         if bp.ndim != 1 or va.ndim != 1 or bp.size != va.size + 1:
             raise ValidationError("need k+1 breakpoints for k values")
         if bp[0] != 0.0:
             raise ValidationError("first breakpoint must be 0")
-        if not np.all(np.isfinite(bp)):
+        if not np.isfinite(bp).all():
             raise ValidationError("breakpoints must be finite")
-        if np.any(np.diff(bp) <= 0):
+        if (bp[1:] <= bp[:-1]).any():
             raise ValidationError("breakpoints must be strictly increasing")
-        if np.any(np.isnan(va)) or np.any(va == -math.inf):
+        if np.isnan(va).any() or (va == -math.inf).any():
             raise ValidationError("values must be real or +inf")
         self.breakpoints, self.values = _assemble(bp, va)
         self._atoms = None  # (measure, levels, masses, sup_ess), kept by the norms
@@ -152,31 +150,27 @@ class StepFunction:
 
     def __call__(self, t):
         tt = np.asarray(t, dtype=float)
-        if not np.all(tt >= 0):  # also catches nan
+        if not (tt >= 0).all():  # also catches nan
             raise ValidationError("step functions are defined on [0, oo)")
-        idx = np.searchsorted(self.breakpoints, tt, side="right") - 1
-        out = np.zeros_like(tt, dtype=float)
-        inside = idx < self.values.size
-        if self.values.size:
-            out[inside] = self.values[idx[inside]]
+        # from the last breakpoint on, idx is values.size: the padding 0
+        idx = self.breakpoints.searchsorted(tt, side="right") - 1
+        out = np.concatenate((self.values, [0.0]))[idx]
         return float(out) if tt.ndim == 0 else out
 
     def max_abs(self):
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        return float(np.abs(self.values).max()) if self.values.size else 0.0
 
     def is_zero(self):
         return self.values.size == 0
 
     def is_nonnegative(self):
-        return bool(np.all(self.values >= 0))
+        return bool((self.values >= 0).all())
 
     def is_nonincreasing(self):
         v = self.values
-        if v.size and np.any(v < 0):
-            return False
         # canonical form has distinct neighbours, so non-increasing means
         # strictly decreasing values followed by the implicit zero tail
-        return bool(np.all(np.diff(v) < 0)) if v.size > 1 else True
+        return not (v < 0).any() and bool((v[1:] < v[:-1]).all())
 
     # -- constructions -----------------------------------------------------
 
@@ -201,10 +195,8 @@ class StepFunction:
     def __eq__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
-        return (
-            self.values.size == other.values.size
-            and np.array_equal(self.breakpoints, other.breakpoints)
-            and np.array_equal(self.values, other.values)
+        return self.values.size == other.values.size and bool(
+            (self.breakpoints == other.breakpoints).all() and (self.values == other.values).all()
         )
 
     def __repr__(self):
@@ -227,14 +219,17 @@ class Measure:
     def cumulative(self, t):
         """Mass of [0, t); vectorized, ``t = inf`` allowed."""
         tt = np.asarray(t, dtype=float)
-        if not np.all(tt >= 0):  # also catches nan
+        if not (tt >= 0).all():  # also catches nan
             raise ValidationError("measures live on [0, oo)")
         out = self._cumulative(tt)
         return float(out) if tt.ndim == 0 else out
 
     def piece_masses(self, bp):
         """The mass of each piece [bp[i], bp[i+1]) of increasing breakpoints."""
-        return np.diff(self.cumulative(bp))
+        c = self.cumulative(bp)
+        if type(c) is float:  # np.diff's error on 0-d input
+            raise ValueError("diff requires input that is at least one dimensional")
+        return c[..., 1:] - c[..., :-1]
 
     def total(self):
         return self.cumulative(math.inf)
@@ -263,14 +258,12 @@ class DensityMeasure(Measure):
     def __init__(self, density):
         if not density.is_nonnegative():
             raise ValidationError("density must be non-negative")
-        if not np.all(np.isfinite(density.values)):
+        if not np.isfinite(density.values).all():
             raise ValidationError("density must be finite")
         self.density = density
-        self._knots = density.breakpoints
+        k = self._knots = density.breakpoints
         with np.errstate(over="ignore"):
-            self._cum = np.concatenate(
-                [[0.0], np.cumsum(density.values * np.diff(density.breakpoints))]
-            )
+            self._cum = np.concatenate([[0.0], (density.values * (k[1:] - k[:-1])).cumsum()])
         if not math.isfinite(self._cum[-1]):
             raise ValidationError("density must have a finite cumulative mass")
         self._cum.setflags(write=False)
@@ -297,7 +290,7 @@ def integrate(f, m):
         return 0.0
     masses = m.piece_masses(f.breakpoints)
     live = masses > 0
-    if np.any(np.isinf(f.values) & live):
+    if (np.isinf(f.values) & live).any():
         return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(np.dot(f.values[live], masses[live]))
@@ -313,8 +306,8 @@ def _decreasing(levels, masses, total=math.inf):
     end from 0; the running sum is capped at ``total``, which it can round
     above.  Canonical form merges tied levels and drops the zero tail.
     """
-    order = np.argsort(-levels, kind="stable")
-    ends = np.minimum(np.cumsum(masses[order]), total)
+    order = (-levels).argsort(kind="stable")
+    ends = np.minimum(masses[order].cumsum(), total)
     return StepFunction._raw(np.concatenate([[0.0], ends]), levels[order])
 
 
@@ -329,7 +322,7 @@ def rearrange(f, m):
         raise ValidationError("rearrangement and distribution need a non-negative function")
     masses = m.piece_masses(f.breakpoints)
     live = masses > 0
-    if np.any(np.isinf(f.values) & live):
+    if (np.isinf(f.values) & live).any():
         raise ValidationError(
             "function is infinite on a set of positive mass; its rearrangement "
             "and distribution are not eventually-zero step functions"
@@ -356,22 +349,27 @@ def generalized_inverse(d):
         return StepFunction.zero()
     if np.isinf(d.values[0]):
         raise ValidationError("an infinite plateau has no eventually-zero inverse")
-    heights = d.values          # strictly decreasing in canonical form
-    piece_ends = d.breakpoints[1:]
-    return StepFunction._raw(
-        np.concatenate([[0.0], heights[::-1]]), piece_ends[::-1]
-    )
+    # canonical values are strictly decreasing, so reversed they are the breakpoints
+    return StepFunction._raw(np.concatenate([[0.0], d.values[::-1]]), d.breakpoints[:0:-1])
 
 
 def ess_sup(f, m):
     """Essential supremum of ``f`` with respect to ``m``."""
     masses = m.piece_masses(f.breakpoints)
     live = masses > 0
-    return float(np.max(f.values[live])) if np.any(live) else 0.0
+    return float(f.values[live].max()) if live.any() else 0.0
+
+
+def _union(a, b):
+    """``np.union1d`` of 1-d arrays without NaN, except that of -0.0 and 0.0
+    the first is kept, where np.union1d's hash table picks either."""
+    grid = np.concatenate((a, b))
+    grid.sort(kind="stable")
+    return np.concatenate((grid[:1], grid[1:][grid[1:] != grid[:-1]]))
 
 
 def _refine(f, g):
-    grid = np.union1d(f.breakpoints, g.breakpoints)
+    grid = _union(f.breakpoints, g.breakpoints)
     left = grid[:-1]
     return grid, f(left), g(left)
 
@@ -402,8 +400,8 @@ def step_value_residual(f, g, sliver=1e-9):
         gap = np.where(np.isinf(vf) & np.isinf(vg), 0.0, np.abs(vf - vg))
     gap = np.where(np.isnan(gap), math.inf, gap)
     shared = np.isin(grid, f.breakpoints) & np.isin(grid, g.breakpoints)
-    kept = (np.diff(grid) > sliver) | (shared[:-1] & shared[1:])
-    return float(np.max(gap[kept])) if kept.any() else 0.0
+    kept = (grid[1:] - grid[:-1] > sliver) | (shared[:-1] & shared[1:])
+    return float(gap[kept].max()) if kept.any() else 0.0
 
 
 def step_equal(f, g, value_tol=1e-10, breakpoint_tol=1e-12):

@@ -66,6 +66,7 @@ from .stepfn import (
     DensityMeasure,
     Measure,
     StepFunction,
+    _union,
     distribution,
     generalized_inverse,
     integrate,
@@ -430,7 +431,7 @@ def _support_projection_trace(inst):
     expected = 0.0
     for lam, b in zip(a.algebra.trace_weights, a.blocks):
         s = np.linalg.svd(b, compute_uv=False)
-        expected += lam * int(np.sum(s > tol_rank))
+        expected += lam * int((s > tol_rank).sum())
     return abs(p.trace() - expected)
 
 
@@ -441,7 +442,7 @@ def _level_sets(inst):
     p_orig = spectral_projection(a, t)
     p_image = spectral_projection(image, psi(t))
     return max(
-        float(np.max(np.abs(pb - qb))) for pb, qb in zip(p_orig.blocks, p_image.blocks)
+        float(np.abs(pb - qb).max()) for pb, qb in zip(p_orig.blocks, p_image.blocks)
     )
 
 
@@ -452,7 +453,7 @@ def _oracle(inst):
     ctx, a, ts = inst
     mu = weighted_rearrangement(ctx, a)
     worst = _routes_disagree(ctx, a, mu)
-    return max(worst, float(np.max(np.abs(mu(ts) - weighted_rearrangement_oracle(ctx, a, ts)))))
+    return max(worst, float(np.abs(mu(ts) - weighted_rearrangement_oracle(ctx, a, ts)).max()))
 
 
 def _integral_identity(inst):
@@ -550,7 +551,7 @@ def _truncation(inst):
     mu_t = weighted_rearrangement(ctx, a)(t)
     entries = a.diagonal_entries()
     lam = ctx.algebra.coordinate_weights()
-    order = np.argsort(-np.abs(entries))
+    order = (-np.abs(entries)).argsort()
     worst = 0.0
     for k in range(entries.size + 1):
         support = np.zeros(entries.size, dtype=bool)
@@ -630,7 +631,7 @@ def _lp_quadrature(inst):
     # midpoint quadrature on the refined grid; exact for step data
     grid = mu.breakpoints
     if isinstance(ctx.weight, StepWeight):
-        grid = np.union1d(grid, ctx.weight.density.breakpoints)
+        grid = _union(grid, ctx.weight.density.breakpoints)
     levels = mu(0.5 * (grid[:-1] + grid[1:]))
     masses = ctx.weight.piece_masses(grid)
     worst = 0.0

@@ -67,7 +67,7 @@ class StepWeight(DensityMeasure, Weight):
 
     def cumulative_inverse(self, u):
         uu = np.asarray(u, dtype=float)
-        if not (np.all(uu >= 0) and np.all(uu <= self.total())):  # also catches nan
+        if not ((uu >= 0).all() and (uu <= self.total()).all()):  # also catches nan
             raise ValidationError("cumulative inverse needs 0 <= u <= total mass")
         out = np.interp(uu, self._cum, self._knots)
         return float(out) if uu.ndim == 0 else out
@@ -84,7 +84,7 @@ class ExpWeight(Weight):
 
     def cumulative_inverse(self, u):
         uu = np.asarray(u, dtype=float)
-        if not (np.all(uu >= 0) and np.all(uu <= 1)):  # also catches nan
+        if not ((uu >= 0).all() and (uu <= 1).all()):  # also catches nan
             raise ValidationError("cumulative inverse needs 0 <= u <= 1")
         with np.errstate(divide="ignore"):
             out = -np.log1p(-uu)
@@ -164,7 +164,7 @@ def weighted_rearrangement_oracle(ctx, a, t):
     """
     _check_member(ctx, a)
     tt = np.asarray(t, dtype=float)
-    if not np.all(tt >= 0):  # also catches nan
+    if not (tt >= 0).all():  # also catches nan
         raise ValidationError("the rearrangement parameter must be >= 0")
     if not ctx.algebra.is_matrix or not a.is_diagonal():
         raise ValidationError("the exhaustive oracle needs diagonal matrix blocks")
@@ -177,8 +177,7 @@ def weighted_rearrangement_oracle(ctx, a, t):
     lam = ctx.algebra.coordinate_weights()
     # tables over all 2^n subsets, bit i set = coordinate i kept; the dropped
     # trace sums the dropped weights, so keeping every coordinate drops exactly 0
-    kept_max = np.zeros(1)
-    dropped_trace = np.zeros(1)
+    kept_max = dropped_trace = np.zeros(1)
     for i in range(n):
         kept_max = np.concatenate([kept_max, np.maximum(kept_max, entries[i])])
         dropped_trace = np.concatenate([dropped_trace + lam[i], dropped_trace])

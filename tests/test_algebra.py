@@ -460,3 +460,31 @@ class TestSolverCounts:
         assert calls["svd"] == 2
         absolute(a)
         assert calls["svd"] == 2
+
+
+def test_coordinate_weights_are_built_once_and_read_only():
+    alg = Algebra.matrix_blocks([2, 1, 3], [0.5, 2.0, 1.25])
+    w = alg.coordinate_weights()
+    assert w is alg.coordinate_weights()
+    assert w.tobytes() == np.repeat([0.5, 2.0, 1.25], [2, 1, 3]).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+    with pytest.raises(ValidationError):
+        Algebra.commutative(1.0).coordinate_weights()
+    # the callers that read it leave it as it was
+    a = Operator(alg, blocks=[np.ones((2, 2)), [[3.0]], np.eye(3)])
+    assert singular_value_function(a).support_end == 6.25  # the zero singular value is trimmed
+    assert w.tobytes() == np.repeat([0.5, 2.0, 1.25], [2, 1, 3]).tobytes()
+
+
+def test_multiplier_calculus_checks_its_domain():
+    interval = Algebra.commutative(2.0)
+    signed = Operator.multiplier(interval, StepFunction([0.0, 1.0, 2.0], [0.5, -0.5]))
+    with pytest.raises(ValidationError, match="spectral projection needs a positive multiplier"):
+        spectral_projection(signed, 0.1)
+    with pytest.raises(ValidationError, match="functional calculus needs a positive multiplier"):
+        apply_function(power(2), signed)
+    with pytest.raises(InfiniteValueError):
+        apply_function(capped(1.0), Operator.multiplier(interval, StepFunction([0.0, 1.0], [2.0])))
+    assert Operator.multiplier(interval, StepFunction([0.0, 1.0], [1.0])).is_projection()
+    assert not signed.is_projection()

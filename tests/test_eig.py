@@ -348,6 +348,24 @@ def test_one_by_one_block_is_its_absolute_value(x):
     assert v.shape == (1, 1) and v[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("x", [-0.0, 5e-324, -5e-324, 2.0**1000, -(2.0**1000), 2.0**-1000, -(2.0**-1000)])
+def test_one_by_one_block_skips_the_scaling_with_the_same_bits(x):
+    # the scaled path: |a| divided by the power of two that brings it into
+    # [1/2, 1), then multiplied back; both steps are exact
+    bt, e = eig._prescaled([[x]], 0)
+    s, v = one_sided_svd(np.array([[x]]))
+    assert s.tobytes() == np.array([math.ldexp(abs(bt[0, 0]), e)]).tobytes()
+    assert v.tobytes() == np.ones((1, 1)).tobytes()
+
+
+@pytest.mark.parametrize("block", [[[np.nan]], [[np.inf]], [[-np.inf]], [1.0], [[1.0, 2.0]]])
+def test_invalid_one_by_one_blocks_raise_with_their_block_index(block):
+    message = "non-finite" if np.shape(block) == (1, 1) else "square"
+    with pytest.raises(EigenSolverError, match=f"^block 3: .*{message}") as err:
+        one_sided_svd(block, block_index=3)
+    assert err.value.block_index == 3 and err.value.sweeps is None
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts of pair tests and rotations over both kernels; a batched call

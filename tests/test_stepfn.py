@@ -453,3 +453,61 @@ class TestStepEqual:
     def test_infinities_compare_equal(self):
         f = StepFunction([0, 1, 2], [math.inf, 1.0])
         assert step_equal(f, f)
+
+
+class TestAgainstTheNumpyWrappers:
+    """The methods and slice differences the library calls give the bits the
+    numpy wrappers they replaced gave; the wrappers are the reference."""
+
+    @staticmethod
+    def _functions(rng):
+        for k in range(1, 9):
+            bp = np.concatenate([[0.0], rng.uniform(0.1, 2.0, k).cumsum()])
+            values = rng.choice([0.0, 0.5, 1.0, 3.0, math.inf], size=k)
+            yield StepFunction(bp, values)
+        yield StepFunction.zero()
+        yield StepFunction([-0.0, 1.0, 2.0], [2.0, 1.0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_evaluation_and_refinement(self, seed):
+        rng = np.random.default_rng(seed)
+        fs = list(self._functions(rng))
+        t = np.concatenate([[0.0, -0.0, math.inf], rng.uniform(0.0, 20.0, 13)])
+        for f in fs:
+            idx = np.searchsorted(f.breakpoints, t, side="right") - 1
+            expected = np.zeros_like(t)
+            expected[idx < f.values.size] = f.values[idx[idx < f.values.size]]
+            assert f(t).tobytes() == expected.tobytes()
+            assert f(t.reshape(4, 4)).tobytes() == expected.tobytes()
+            assert f(t.reshape(4, 4)).shape == (4, 4)
+            diff = np.diff(f.values)
+            assert f.is_nonincreasing() == bool(np.all(f.values >= 0) and np.all(diff < 0))
+            for m in (LEBESGUE, EXP, WEIGHTED):
+                assert m.piece_masses(f.breakpoints).tobytes() == np.diff(
+                    m.cumulative(f.breakpoints)).tobytes()
+            for g in fs:
+                grid = step_add(f, g).breakpoints
+                union = np.union1d(f.breakpoints, g.breakpoints)
+                assert set(grid.tolist()) <= set(union.tolist())
+                assert (f == g) == (np.array_equal(f.breakpoints, g.breakpoints)
+                                    and np.array_equal(f.values, g.values))
+
+    def test_union_matches_np_union1d_and_keeps_the_first_zero(self):
+        from wrearr.stepfn import _union
+
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            a, b = rng.choice([0.5, 1.0, 2.0, 3.25, math.inf], size=(2, int(rng.integers(1, 30))))
+            zero = rng.choice([0.0, -0.0])
+            for x, y in ((a, b), (np.append(zero, a), b), (np.append(zero, a), np.append(zero, b))):
+                assert _union(x, y).tobytes() == np.union1d(x, y).tobytes()
+            # zeros of both signs: np.union1d's pick depends on its hash table;
+            # _union keeps the first
+            first = _union(np.append(zero, a), np.append(-zero, b))[0]
+            assert first == 0.0 and np.signbit(first) == np.signbit(zero)
+
+    def test_breakpoint_order_is_checked_without_overflow(self):
+        # the difference -1e308 - 1e308 overflowed to -inf with a RuntimeWarning;
+        # a comparison cannot overflow
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            StepFunction([0.0, 1e308, -1e308], [1.0, 2.0])

@@ -466,7 +466,23 @@ NAN_ENTRY_POINTS = {
         StepFunction([0.0, 1.0], [2.0])).cumulative_inverse(x),
     "ExpWeight.cumulative_inverse": lambda x: ExpWeight().cumulative_inverse(x),
     "OrliczFunction.__call__": lambda x: norms_mod.power(2)(x),
+    "StepFunction.__init__-breakpoints": lambda x: StepFunction(
+        np.append(0.0, x), np.ones(np.size(x))),
+    "StepFunction.__init__-values": lambda x: StepFunction(np.arange(np.size(x) + 1.0), x),
+    "StepFunction.__call__": lambda x: StepFunction([0.0, 1.0, 2.0], [2.0, 1.0])(x),
+    "weighted_rearrangement_oracle": lambda x: weighted_rearrangement_oracle(CTX_312, DIAG_312, x),
+    "Operator.__init__-block": lambda x: Operator(
+        Algebra.matrix_blocks([np.size(x) + 1], [1.0]), blocks=[np.diag(np.append(0.5, x))]),
 }
+# the three measure kinds, each through the checks it shares with the others
+_MEASURES = {
+    "lebesgue": LEBESGUE,
+    "density": DensityMeasure(StepFunction([0.0, 1.0], [2.0])),
+    "exp": ExpWeight(),
+}
+for _kind, _m in _MEASURES.items():
+    NAN_ENTRY_POINTS[f"{_kind}.cumulative"] = _m.cumulative
+    NAN_ENTRY_POINTS[f"{_kind}.piece_masses"] = _m.piece_masses
 
 
 @pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
@@ -474,3 +490,35 @@ NAN_ENTRY_POINTS = {
 def test_domain_checks_reject_nan(call, x):
     with pytest.raises(ValidationError):
         call(x)
+
+
+@pytest.mark.parametrize("x", [np.array(math.nan), np.float64(math.nan)], ids=["0-d", "float64"])
+@pytest.mark.parametrize("call", NAN_ENTRY_POINTS.values(), ids=NAN_ENTRY_POINTS.keys())
+def test_domain_checks_reject_0d_nan(call, x):
+    with pytest.raises(ValidationError):
+        call(x)
+
+
+@pytest.mark.parametrize("m", _MEASURES.values(), ids=_MEASURES.keys())
+def test_0d_input_gives_a_python_float(m):
+    f = StepFunction([0.0, 1.0, 2.0], [2.0, 1.0])
+    for t in (np.array(1.5), np.float64(1.5), 1.5):
+        assert type(f(t)) is float and f(t) == 1.0
+        assert type(m.cumulative(t)) is float and m.cumulative(t) == m.cumulative([1.5])[0]
+    assert type(weighted_rearrangement_oracle(CTX_312, DIAG_312, np.array(0.5))) is float
+    # a 0-d breakpoint array has no pieces: numpy's error for np.diff, as before
+    with pytest.raises(ValueError, match="at least one dimensional"):
+        m.piece_masses(np.array(1.5))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_payloads_are_rejected(value):
+    with pytest.raises(ValidationError, match="non-finite"):
+        Operator(M3, blocks=[np.diag([1.0, value, 2.0])])
+    with pytest.raises(ValidationError, match="finite"):
+        StepFunction([0.0, 1.0, value], [1.0, 2.0])
+    if value == math.inf:  # a step function may take +inf; a multiplier may not
+        with pytest.raises(ValidationError, match="step payload must be finite"):
+            Operator(INTERVAL_02, step=StepFunction([0.0, 1.0], [value]))
+        with pytest.raises(ValidationError, match="density must be finite"):
+            DensityMeasure(StepFunction([0.0, 1.0], [value]))
