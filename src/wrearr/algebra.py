@@ -189,10 +189,12 @@ class Operator:
         if not algebra.is_matrix:
             raise ValidationError("diagonal construction needs a matrix algebra")
         flat = np.asarray(entries, dtype=float)
+        if flat.ndim != 1:
+            raise ValidationError("diagonal entries must be a 1-d array")
         if flat.size != algebra.total_dimension:
             raise ValidationError("wrong number of diagonal entries")
         at = np.array((0, *algebra.block_sizes)).cumsum()
-        return cls(algebra, blocks=[np.diag(flat[i:j]) for i, j in zip(at, at[1:])])
+        return cls(algebra, blocks=[np.diagflat(flat[i:j]) for i, j in zip(at, at[1:])])
 
     @classmethod
     def multiplier(cls, algebra, step):

@@ -88,7 +88,9 @@ def _power_norm(levels, masses, p):
     cannot overflow, and the sum is at least the largest level's mass, so it
     cannot underflow to 0."""
     top = levels.max()
-    return float(top * np.dot((levels / top) ** p, masses) ** (1.0 / p))
+    q = levels / top
+    q **= p
+    return float(top * masses.dot(q) ** (1.0 / p))
 
 
 def power(p):
@@ -106,8 +108,24 @@ def _power(p):
     )
 
 
-_COSH_MINUS_ONE = OrliczFunction("cosh-1", lambda u: 2.0 * np.sinh(u / 2.0) ** 2)
-_L_LOG_L = OrliczFunction("llogl", lambda u: u * np.log1p(u))
+def _cosh_minus_one(u):
+    # cosh(u) - 1 = 2 sinh(u/2)^2, with no cancellation; squared and doubled in
+    # sinh's result, so a modular evaluation makes no further temporaries
+    h = np.sinh(u / 2.0)
+    h *= h
+    h *= 2.0
+    return h
+
+
+def _l_log_l(u):
+    # multiplied in log1p's result, which needs no second temporary
+    out = np.log1p(u)
+    out *= u
+    return out
+
+
+_COSH_MINUS_ONE = OrliczFunction("cosh-1", _cosh_minus_one)
+_L_LOG_L = OrliczFunction("llogl", _l_log_l)
 
 
 def cosh_minus_one():
@@ -135,7 +153,7 @@ def capped(bound):
 def _capped(b):
     def atom_norm(levels, masses):
         # a finite modular needs every v / lam <= b, and is then sum(m v) / lam
-        return max(float(levels.max()) / b, float(np.dot(levels, masses)))
+        return max(float(levels.max()) / b, float(masses.dot(levels)))
 
     return OrliczFunction(
         f"capped:{b:g}",
@@ -256,7 +274,7 @@ def _atoms(f, m):
 
 def _atom_modular(psi, levels, masses, lam):
     """modular(psi, f / lam, m) from the atoms of ``f`` under ``m``."""
-    return float(np.dot(psi(levels / lam), masses))
+    return float(masses.dot(psi(levels / lam)))
 
 
 def luxemburg_norm(psi, f, m):

@@ -293,7 +293,7 @@ def integrate(f, m):
     if (np.isinf(f.values) & live).any():
         return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.dot(f.values[live], masses[live]))
+        total = float(masses[live].dot(f.values[live]))
     if not math.isfinite(total):
         raise NormOverflowError("the integral overflows the float range")
     return total
@@ -302,13 +302,21 @@ def integrate(f, m):
 def _decreasing(levels, masses, total=math.inf):
     """The decreasing step function that takes each level on its mass.
 
-    One stable sort of the levels, descending, with their masses laid end to
-    end from 0; the running sum is capped at ``total``, which it can round
-    above.  Canonical form merges tied levels and drops the zero tail.
+    The levels in descending order, tied levels in index order (a stable
+    sort), with their masses laid end to end from 0; the running sum is
+    capped at ``total``, which it can round above.  Canonical form merges
+    tied levels and drops the zero tail.  Distinct levels have only one such
+    order, which numpy's default sort finds faster, so the stable sort runs
+    only when two levels compare equal (``inf`` or ``±0.0`` among them).
     """
-    order = (-levels).argsort(kind="stable")
+    neg = -levels
+    order = neg.argsort()
+    ordered = levels[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = neg.argsort(kind="stable")
+        ordered = levels[order]
     ends = np.minimum(masses[order].cumsum(), total)
-    return StepFunction._raw(np.concatenate([[0.0], ends]), levels[order])
+    return StepFunction._raw(np.concatenate([[0.0], ends]), ordered)
 
 
 def rearrange(f, m):
@@ -368,6 +376,12 @@ def _union(a, b):
     return np.concatenate((grid[:1], grid[1:][grid[1:] != grid[:-1]]))
 
 
+def _members(x, bp):
+    """Which entries of ``x`` equal a breakpoint of the strictly increasing
+    ``bp``: ``np.isin(x, bp)``, by one binary search per entry."""
+    return bp.take(bp.searchsorted(x), mode="clip") == x
+
+
 def _refine(f, g):
     grid = _union(f.breakpoints, g.breakpoints)
     left = grid[:-1]
@@ -399,7 +413,7 @@ def step_value_residual(f, g, sliver=1e-9):
     with np.errstate(invalid="ignore"):
         gap = np.where(np.isinf(vf) & np.isinf(vg), 0.0, np.abs(vf - vg))
     gap = np.where(np.isnan(gap), math.inf, gap)
-    shared = np.isin(grid, f.breakpoints) & np.isin(grid, g.breakpoints)
+    shared = _members(grid, f.breakpoints) & _members(grid, g.breakpoints)
     kept = (grid[1:] - grid[:-1] > sliver) | (shared[:-1] & shared[1:])
     return float(gap[kept].max()) if kept.any() else 0.0
 

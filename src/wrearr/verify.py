@@ -636,7 +636,7 @@ def _lp_quadrature(inst):
     masses = ctx.weight.piece_masses(grid)
     worst = 0.0
     for p in (1.0, 2.0, 3.0):
-        quad = float(np.dot(levels**p, masses)) ** (1.0 / p)
+        quad = float(masses.dot(levels**p)) ** (1.0 / p)
         worst = max(worst, _rel_gap(norm_route_a(ctx, NormSpec.lp(p), a), quad))
     return worst
 

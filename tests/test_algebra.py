@@ -101,6 +101,16 @@ class TestAlgebraValidation:
             with pytest.raises(ValidationError, match="finite"):
                 make()
 
+    @pytest.mark.parametrize(
+        "sizes, entries",
+        [([2], np.ones((1, 1, 2))), ([1], 1.0), ([2], np.ones((2, 1)))],
+        ids=["3-d", "scalar", "column"],
+    )
+    def test_diagonal_entries_must_be_1d(self, sizes, entries):
+        # of the right size, so only their shape is wrong
+        with pytest.raises(ValidationError, match="1-d"):
+            Operator.from_diagonal(Algebra.matrix_blocks(sizes, [1.0]), entries)
+
     def test_mixing_algebras_rejected(self):
         a = Operator.identity(M2)
         b = Operator.identity(M3)

@@ -184,6 +184,39 @@ class TestOrliczFunctions:
         with pytest.raises(ValidationError):
             OrliczFunction("bad", lambda u: u * u, threshold)
 
+    @pytest.mark.parametrize(
+        "psi, reference",
+        [
+            (cosh_minus_one(), lambda u: 2.0 * np.sinh(u / 2.0) ** 2),
+            (l_log_l(), lambda u: u * np.log1p(u)),
+        ],
+        ids=["cosh-1", "llogl"],
+    )
+    @pytest.mark.parametrize(
+        "u",
+        [0.0, 2.0**-1000, 1.5, 2.0**1000, math.inf,
+         [0.0, 2.0**-1000, 1e-8, 0.5, 1.0, 3.0, 700.0, 1421.0, 2.0**1000, math.inf]],
+        ids=["0", "2^-1000", "1.5", "2^1000", "inf", "1-d"],
+    )
+    def test_in_place_functions_give_the_bits_of_the_plain_expressions(self, psi, reference, u):
+        # read-only, so that a write to the argument raises
+        u = np.array(u)
+        u.setflags(write=False)
+        before = u.tobytes()
+        with np.errstate(over="ignore"):
+            got, expected = np.asarray(psi._fn(u)), np.asarray(reference(u))
+        assert got.shape == u.shape and got.tobytes() == expected.tobytes()
+        assert u.tobytes() == before
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, 7.0])
+    def test_power_norm_gives_the_bits_of_the_plain_expression(self, p):
+        rng = rng_from_seed(int(p * 10))
+        levels = rng.uniform(0.05, 2.0, 500) * np.exp2(rng.uniform(-24, 24, 500))
+        masses = rng.uniform(0.0, 1.0, 500)
+        top = levels.max()
+        expected = float(top * np.dot((levels / top) ** p, masses) ** (1.0 / p))
+        assert norms._power_norm(levels, masses, p) == expected
+
     def test_rejects_a_function_not_vanishing_at_zero(self):
         with pytest.raises(ValidationError, match="vanish at 0"):
             OrliczFunction("shifted", lambda u: u + 1.0)

@@ -27,8 +27,10 @@ REPLACED = {
     "cumsum": "x.cumsum()",
     "diag": "x.diagonal(), or np.diagflat(v) to build a diagonal matrix",
     "diff": "x[1:] - x[:-1]",
+    "dot": "x.dot(y)",
     "flatnonzero": "x.nonzero()[0]",
     "hstack": "np.concatenate(..., axis=1)",
+    "isin": "stepfn._members(x, bp) for a strictly increasing bp",
     "max": "x.max()",
     "repeat": "x.repeat(counts)",
     "searchsorted": "x.searchsorted(v)",
@@ -37,18 +39,12 @@ REPLACED = {
     "union1d": "stepfn._union(x, y)",
     "zeros_like": "np.zeros(x.shape)",
 }
-# (module, function, wrapper) calls that stay: from_diagonal builds its blocks
-# with np.diag, which np.diagflat would not match on an entries array of more
-# than one dimension
-ALLOWED = {("algebra.py", "from_diagonal", "diag")}
-
 MODULES = sorted(Path(wrearr.__file__).parent.glob("*.py"))
 
 
 def wrapper_calls(source, name="<source>"):
     """``file:line: np.<wrapper>(...)`` for each call of a replaced wrapper
-    through a name that ``source`` binds to the numpy module, outside
-    ``ALLOWED``."""
+    through a name that ``source`` binds to the numpy module."""
     tree = ast.parse(source, filename=name)
     numpy_names = {
         alias.asname or alias.name
@@ -57,38 +53,22 @@ def wrapper_calls(source, name="<source>"):
         for alias in node.names
         if alias.name == "numpy"
     }
-    found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in numpy_names
-            and node.func.attr in REPLACED
-            and (name, function, node.func.attr) not in ALLOWED
-        ):
-            found.append(
-                f"{name}:{node.lineno}: {node.func.value.id}.{node.func.attr}(...); "
-                f"call {REPLACED[node.func.attr]}"
-            )
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, None)
-    return found
+    return [
+        f"{name}:{node.lineno}: {node.func.value.id}.{node.func.attr}(...); "
+        f"call {REPLACED[node.func.attr]}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in numpy_names
+        and node.func.attr in REPLACED
+    ]
 
 
 def test_the_guard_finds_a_wrapper_call():
     source = "import numpy as np\nimport numpy\nok = x.all()\nbad = np.all(x) or numpy.diff(x)\n"
     assert [c.split(":")[1] for c in wrapper_calls(source)] == ["4", "4"]
     assert wrapper_calls("import math\nmath.trace(x)\n") == []
-    # the allowed call is allowed in its own function only
-    source = "import numpy as np\ndef from_diagonal(x):\n    return np.diag(x)\n"
-    assert wrapper_calls(source, "algebra.py") == []
-    assert len(wrapper_calls(source.replace("from_diagonal", "f"), "algebra.py")) == 1
 
 
 def test_every_module_is_parsed():

@@ -91,6 +91,18 @@ def raw_pieces(draw):
     return np.concatenate([[0.0], np.cumsum(widths)]), np.array(values, dtype=float)
 
 
+@st.composite
+def levels_and_masses(draw):
+    """Non-negative levels, distinct or tied (among them ``inf`` and zeros of
+    both signs), each with an arbitrary positive mass."""
+    levels = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, math.inf]), st.floats(0.0, 1e300)),
+        max_size=40,
+    ))
+    masses = draw(st.lists(st.floats(5e-324, 1e300), min_size=len(levels), max_size=len(levels)))
+    return np.array(levels, dtype=float), np.array(masses, dtype=float)
+
+
 class TestConstruction:
     def test_canonical_merges_equal_neighbours(self):
         f = StepFunction([0, 1, 2, 4], [2, 2, 1])
@@ -505,6 +517,58 @@ class TestAgainstTheNumpyWrappers:
             # _union keeps the first
             first = _union(np.append(zero, a), np.append(-zero, b))[0]
             assert first == 0.0 and np.signbit(first) == np.signbit(zero)
+
+    def test_members_match_np_isin(self):
+        from wrearr.stepfn import _members
+
+        rng = np.random.default_rng(11)
+        pool = np.array([0.0, -0.0, 0.25, 1.0, 2.0, 3.5, 7.0, 1e308])
+        for _ in range(300):
+            # strictly increasing, starting at a zero of either sign
+            bp = np.concatenate([rng.choice(pool[:2], 1), np.unique(rng.choice(pool[2:], 4))])
+            x = rng.choice(pool, size=int(rng.integers(1, 12)))
+            assert (_members(x, bp) == np.isin(x, bp)).all()
+        # -0.0 against 0.0 both ways, and points past either end
+        for bp, x, inside in (
+            ([0.0, 1.0], [-0.0, 0.0, 2.0], [True, True, False]),
+            ([-0.0, 1.0], [0.0, -1.0, 1.0], [True, False, True]),
+        ):
+            assert _members(np.array(x), np.array(bp)).tolist() == inside
+
+    @staticmethod
+    def _stable_decreasing(levels, masses, total):
+        order = np.argsort(-levels, kind="stable")
+        ends = np.minimum(np.cumsum(masses[order]), total)
+        return StepFunction._raw(np.concatenate([[0.0], ends]), levels[order])
+
+    @given(atoms=levels_and_masses(), capped=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_decreasing_is_the_stable_sort_bit_for_bit(self, atoms, capped):
+        from wrearr.stepfn import _decreasing
+
+        levels, masses = atoms
+        total = masses.sum() / 2 if capped else math.inf
+        expected = self._stable_decreasing(levels, masses, total)
+        got = _decreasing(levels, masses, total)
+        assert got.breakpoints.tobytes() == expected.breakpoints.tobytes()
+        assert got.values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("size", [17, 200, 1000])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_decreasing_on_long_levels(self, size, tied):
+        # the lengths of the multipliers the norms sort; from 17 entries on,
+        # numpy's default sort is not an insertion sort, so not stable
+        from wrearr.stepfn import _decreasing
+
+        rng = np.random.default_rng(size)
+        levels = rng.uniform(0.05, 2.0, size)
+        if tied:
+            levels = rng.choice([0.0, -0.0, 0.5, 1.0, math.inf], size)
+        masses = rng.uniform(0.0, 1.0, size) * 2.0 ** rng.integers(-60, 60, size)
+        expected = self._stable_decreasing(levels, masses, math.inf)
+        got = _decreasing(levels, masses)
+        assert got.breakpoints.tobytes() == expected.breakpoints.tobytes()
+        assert got.values.tobytes() == expected.values.tobytes()
 
     def test_breakpoint_order_is_checked_without_overflow(self):
         # the difference -1e308 - 1e308 overflowed to -inf with a RuntimeWarning;
