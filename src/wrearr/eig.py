@@ -32,21 +32,28 @@ keeps the accuracy (Drmac & Veselic 2008): LAPACK's SVD of the prescaled
 block gives right singular vectors ``V0``, and the sweeps start from the rows
 ``[C^T | V0^T]`` of ``C = b V0``, whose columns are already nearly
 orthogonal.  The rows then end as ``[(C W)^T | (V0 W)^T]``, so ``v = V0 W``,
-and the singular values are still the column norms Jacobi stops on.  Forming
-``C`` in floats costs about ``n eps sigma_1`` absolute, where Jacobi on ``b``
-keeps graded blocks relatively accurate (Demmel & Veselic 1992).  So a block
-takes this path only when LAPACK converges, its ``sigma_n`` is at least
-``PRECONDITION_RATIO`` (2^-10) times its ``sigma_1``, and every entry of
-``V0^T V0 - I`` is at most ``4 n eps``; any ``V0`` that is orthogonal gives
-the same singular values.  Graded, rank-deficient and projection blocks, and
-a block with a zero column, start from ``[b^T | I]``.  LAPACK sees the
-prescaled block, so ``2^k a`` still gives the bits of ``a``.  On standard
-normal blocks and their Gram matrices a solve takes 0.3-0.4x the pair tests
-and 0.04-0.11x the rotations it takes from ``[b^T | I]``, and 0.85-0.93x
-the time at n = 3, 0.6x at 4, 0.3-0.4x at 5 and 6 and 0.13-0.25x at 8 to
-13 (alternating rounds in one process, Python 3.11, numpy 2.4, OpenBLAS
-0.3.31).  A 2x2 block takes one rotation, which LAPACK would only make
-dearer.
+and the singular values are still the column norms Jacobi stops on; any
+orthogonal ``V0`` gives the same ones, so ``V0`` is kept only when every
+entry of ``V0^T V0 - I`` is at most ``4 n eps``.  Forming ``C`` in floats costs
+about ``n eps sigma_1`` absolute, ``n eps kappa(b)`` relative.  Jacobi on
+``b = B D``, ``D`` the column norms, is accurate to about ``eps kappa(B)``
+relative (Demmel & Veselic 1992), and ``kappa(b) <= kappa(D) kappa(B)``.  So
+the start may cost up to ``n kappa(D)`` against plain Jacobi's bound, and a
+block takes it only when LAPACK converges and either ``sigma_n`` is at least
+``PRECONDITION_RATIO`` (2^-10) times ``sigma_1``, or the column norms lie
+within ``1 / PRECONDITION_RATIO`` of each other and ``sigma_n`` is at least
+``n eps / PRECONDITION_RATIO`` times ``sigma_1``.  The ratio alone implies
+both, since every column norm lies between ``sigma_n`` and ``sigma_1``; the
+second keeps each column of ``C`` at least 2^10 above its rounding.  Graded
+blocks (columns spread wider), rank-deficient, all-ones and projection
+blocks (``sigma_n`` at rounding level), and a block with a zero column start
+from ``[b^T | I]``.  LAPACK sees the prescaled block, so ``2^k a`` still
+gives the bits of ``a``.  On standard normal blocks and their Gram matrices
+a solve takes 0.3-0.4x the pair tests and 0.04-0.11x the rotations it takes
+from ``[b^T | I]``, and 0.85-0.93x the time at n = 3, 0.6x at 4, 0.3-0.4x
+at 5 and 6 and 0.13-0.25x at 8 to 13 (alternating rounds in one process,
+Python 3.11, numpy 2.4, OpenBLAS 0.3.31).  A 2x2 block takes one rotation,
+which LAPACK would only make dearer.
 
 A larger block keeps the rows as one ``n x 2n`` array, and ``_batch_sweep``
 takes the pairs in the round-robin order of Brent & Luk (1985): each of the
@@ -104,7 +111,10 @@ MAX_SWEEPS = 100
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny) / _EPS
 PYTHON_FLOAT_CUTOFF = 13  # largest block that sweeps on Python floats
-PRECONDITION_RATIO = 2.0**-10  # least sigma_n / sigma_1 that the list kernel preconditions
+# the preconditioned start may cost n / PRECONDITION_RATIO against plain
+# Jacobi's error bound, and no more: 1 / PRECONDITION_RATIO is the widest
+# spread of the column norms it allows
+PRECONDITION_RATIO = 2.0**-10
 
 
 def _off_diagonal_tol(n):
@@ -127,15 +137,22 @@ def _prescaled(matrix, block_index):
 
 def _preconditioner(bt):
     """``V0^T``, LAPACK's right singular vectors of ``b = bt^T`` as rows, when
-    its ``sigma_n >= PRECONDITION_RATIO sigma_1`` and every entry of
-    ``V0^T V0 - I`` is at most ``4 n eps``; None otherwise, and when LAPACK
-    does not converge."""
+    every entry of ``V0^T V0 - I`` is at most ``4 n eps`` and either
+    ``sigma_n >= PRECONDITION_RATIO sigma_1`` or the column norms of ``b`` lie
+    within ``1 / PRECONDITION_RATIO`` of each other and
+    ``sigma_n >= n eps sigma_1 / PRECONDITION_RATIO``; None otherwise, and when
+    LAPACK does not converge.  The first test implies the other two, which
+    run only when it fails."""
     try:
         _, s, vt = np.linalg.svd(bt.T)
     except np.linalg.LinAlgError:
         return None
     if s[-1] < PRECONDITION_RATIO * s[0]:
-        return None
+        if s[-1] < len(s) * _EPS / PRECONDITION_RATIO * s[0]:
+            return None
+        norms = (bt * bt).sum(axis=1)
+        if norms.min() < PRECONDITION_RATIO**2 * norms.max():
+            return None
     g = vt @ vt.T
     g.flat[::len(g) + 1] -= 1.0
     return vt if np.abs(g).max() <= 4 * len(g) * _EPS else None

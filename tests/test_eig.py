@@ -121,14 +121,18 @@ def test_solvers_are_scale_equivariant(k):
     # so results for 2^k a are exactly those for a times 2^k: on the
     # preconditioned list kernel too, whose LAPACK call sees the prescaled
     # block, and on the stacked rotations of the batched kernel, at the
-    # benchmark's sizes and the cap
-    for n in (1, 3, 4, 5, 6, *KERNEL_SIZES, 32, MAX_BLOCK_SIZE):
-        a = np.random.default_rng(6).uniform(-1, 1, (n, n))
-        assert _preconditioned(a) or not 3 <= n <= PYTHON_FLOAT_CUTOFF, f"n={n}"
+    # benchmark's sizes and the cap, and on an ill-conditioned block that the
+    # gate admits by its column spread
+    blocks = {f"n={n}": np.random.default_rng(6).uniform(-1, 1, (n, n))
+              for n in (1, 3, 4, 5, 6, *KERNEL_SIZES, 32, MAX_BLOCK_SIZE)}
+    blocks["spectrum to 2^-30, n=6"] = _ill_conditioned_blocks(6)["spectrum to 2^-30"]
+    for name, a in blocks.items():
+        n = len(a)
+        assert _preconditioned(a) or not 3 <= n <= PYTHON_FLOAT_CUTOFF, name
         s, v = one_sided_svd(a)
         s_k, v_k = one_sided_svd(np.ldexp(a, k))
-        np.testing.assert_array_equal(s_k, np.ldexp(s, k), err_msg=f"n={n}")
-        np.testing.assert_array_equal(v_k, v, err_msg=f"n={n}")
+        np.testing.assert_array_equal(s_k, np.ldexp(s, k), err_msg=name)
+        np.testing.assert_array_equal(v_k, v, err_msg=name)
 
 
 def _characteristic_polynomial(a):
@@ -161,6 +165,9 @@ GRADED_COLUMN_SCALES = [
     [1.0, 1e-20, 1e-160],
     [1.0, 1e-20, 1e-170],
     [1e-60, 1.0, 1e-300, 1e-120, 1e-240, 1e-180],
+    # sigma_n far above n eps 2^10 sigma_1: only the spread of the column
+    # norms keeps it off the preconditioned path
+    [1.0, 1e-4, 1e-8],
 ]
 
 
@@ -172,16 +179,17 @@ def _gram_polynomial(b):
     return _characteristic_polynomial(gram)
 
 
-def _assert_relatively_accurate(b, polynomials):
-    """Each singular value of ``b`` is within 1e-13 relative of a root of the
-    product of ``polynomials``, the exact characteristic polynomial of ``b^T b``."""
-    tol = Fraction(1, 10**13)
+def _assert_relatively_accurate(b, polynomials, tol=Fraction(1, 10**13)):
+    """Each squared singular value of ``b`` is within ``tol`` relative of a root
+    of the product of ``polynomials``, the exact characteristic polynomial of
+    ``b^T b``."""
+    width = Fraction(tol)
     for sigma in one_sided_svd(b)[0]:
         square = Fraction(float(sigma)) ** 2
-        below = math.prod(_evaluate(c, square * (1 - tol)) for c in polynomials)
-        above = math.prod(_evaluate(c, square * (1 + tol)) for c in polynomials)
+        below = math.prod(_evaluate(c, square * (1 - width)) for c in polynomials)
+        above = math.prod(_evaluate(c, square * (1 + width)) for c in polynomials)
         # an eigenvalue of b^T b, a squared singular value, lies in between
-        assert below * above <= 0, f"no eigenvalue of b^T b within 1e-13 of {sigma:.6e}^2"
+        assert below * above <= 0, f"no eigenvalue of b^T b within {float(tol):.1e} of {sigma:.6e}^2"
 
 
 def test_one_sided_svd_keeps_relative_accuracy_on_a_graded_block():
@@ -537,8 +545,11 @@ def test_zeroed_rows_leave_both_kernels_at_once(monkeypatch):
 
 def test_graded_rank_deficient_and_projection_blocks_take_the_plain_path():
     # forming C = b V0 costs about n eps sigma_1 absolute, where Jacobi on b
-    # keeps graded, rank-deficient and projection blocks relatively accurate;
-    # each has sigma_n < 2^-10 sigma_1 and starts from [b^T | I]
+    # keeps graded, rank-deficient and projection blocks relatively accurate.
+    # Each has sigma_n < 2^-10 sigma_1 and starts from [b^T | I]: the
+    # rank-deficient, all-ones and projection blocks because sigma_n <
+    # n eps 2^10 sigma_1, the graded ones because their column norms spread
+    # over more than 2^10 (all but the last have that small a sigma_n too)
     blocks = {f"graded {scales}": np.random.default_rng(22).uniform(-1, 1, (len(scales),) * 2) * scales
               for scales in GRADED_COLUMN_SCALES}
     for n in range(3, PYTHON_FLOAT_CUTOFF + 1):
@@ -607,3 +618,41 @@ def test_preconditioned_path_keeps_relative_accuracy_near_the_gate(n):
         b = (u * 2.0 ** np.linspace(0.0, -9.5, n)) @ v.T
         assert _preconditioned(b), f"seed={seed}"
         _assert_relatively_accurate(b, [_gram_polynomial(b)])
+
+
+def _ill_conditioned_blocks(n):
+    """Blocks of size ``n`` with ``sigma_n < 2^-10 sigma_1`` whose column norms
+    lie within 2^10 of each other: ``u diag(2^linspace(0, -k)) v^T`` with
+    random orthogonal ``u`` and ``v``, for k = 12, 21 and 30, and the first
+    two symmetric ``g g^T / n`` with standard normal ``g`` that are that
+    ill-conditioned."""
+    rng = np.random.default_rng(n)
+    blocks = {}
+    for k in (12, 21, 30):
+        u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        blocks[f"spectrum to 2^-{k}"] = (u * 2.0 ** np.linspace(0.0, -k, n)) @ v.T
+    seed = 1000 * n
+    while len(blocks) < 5:
+        g = np.random.default_rng(seed).standard_normal((n, n))
+        s = np.linalg.svd(g, compute_uv=False)
+        if s[-1] ** 2 < 2**-10 * s[0] ** 2:
+            blocks[f"g g^T / n, seed {seed}"] = g @ g.T / n
+        seed += 1
+    return blocks
+
+
+@pytest.mark.parametrize("n", range(3, PYTHON_FLOAT_CUTOFF + 1))
+def test_ill_conditioned_blocks_that_are_not_graded_take_the_preconditioned_path(n):
+    # sigma_n < 2^-10 sigma_1, but the column norms D lie within 2^10 of each
+    # other and sigma_n is far above n eps 2^10 sigma_1.  Plain Jacobi is
+    # accurate to about eps kappa(b D^-1) relative here (Demmel and Veselic
+    # 1992), and kappa(b) <= kappa(D) kappa(b D^-1), so C = b V0's absolute
+    # error of about n eps sigma_1 costs at most the factor n 2^10 against it.
+    # Each squared singular value is within a relative n eps kappa(b) of an
+    # exact one; these blocks came within 0.05 of that bound
+    eps = np.finfo(float).eps
+    for name, b in _ill_conditioned_blocks(n).items():
+        s = np.linalg.svd(b, compute_uv=False)
+        kappa = s[0] / s[-1]
+        assert kappa > 2**10 and _preconditioned(b), name
+        _assert_relatively_accurate(b, [_gram_polynomial(b)], n * eps * kappa)

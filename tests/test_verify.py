@@ -281,7 +281,7 @@ GOLDEN_SUITE_42_3 = (
     "pass  singular-values-homogeneous                      trials=3  failures=0  worst=1.110e-16  tol=1.0e-10\n"
     "pass  singular-value-distribution-counts-spectrum      trials=3  failures=0  worst=1.776e-15  tol=1.0e-10\n"
     "pass  support-projection-trace                         trials=3  failures=0  worst=1.776e-15  tol=1.0e-10\n"
-    "pass  functional-calculus-preserves-level-sets         trials=3  failures=0  worst=5.551e-16  tol=1.0e-10\n"
+    "pass  functional-calculus-preserves-level-sets         trials=3  failures=0  worst=1.221e-15  tol=1.0e-10\n"
     "pass  oracle-matches-weighted-rearrangement            trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
     "pass  rearrangement-integral-equals-weighted-trace     trials=3  failures=0  worst=0.000e+00  tol=1.0e-10\n"
     "pass  weighted-trace-subadditive                       trials=3  failures=0  worst=0.000e+00  tol=1.0e-09\n"
@@ -302,7 +302,7 @@ GOLDEN_SUITE_42_3 = (
     "pass  orlicz-norm-routes-agree                         trials=3  failures=0  worst=0.000e+00  tol=1.0e-08\n"
     "pass  lp-norm-routes-agree                             trials=3  failures=0  worst=0.000e+00  tol=1.0e-08\n"
     "pass  membership-routes-agree                          trials=3  failures=0  worst=0.000e+00  tol=0.0e+00\n"
-    "pass  functional-calculus-commutes-with-rearrangement  trials=3  failures=0  worst=8.882e-16  tol=1.0e-10\n"
+    "pass  functional-calculus-commutes-with-rearrangement  trials=3  failures=0  worst=9.992e-16  tol=1.0e-10\n"
     "pass  rearrangement-norm-axioms                        trials=3  failures=0  worst=2.867e-16  tol=1.0e-09\n"
     "pass  lp-norm-matches-quadrature                       trials=3  failures=0  worst=1.499e-16  tol=1.0e-10\n"
     "pass  conjugation-invariance                           trials=3  failures=0  worst=8.882e-16  tol=1.0e-09\n"
