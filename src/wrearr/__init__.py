@@ -3,114 +3,18 @@
 Singular value functions, weighted trace functionals, weighted decreasing
 rearrangements and Orlicz/Lp norms computed by two independent routes, with
 the equalities between the routes wired in as checkable properties.
+
+A name is public when its module's ``__all__`` lists it; the package
+re-exports those of the five modules below and declares no name of its own.
 """
 
-from .algebra import (
-    Algebra,
-    Operator,
-    Projection,
-    absolute,
-    apply_function,
-    partial_isometry_conjugates,
-    singular_value_function,
-    spectral_projection,
-)
-from .errors import (
-    EigenSolverError,
-    InfiniteValueError,
-    NormOverflowError,
-    ParseError,
-    ValidationError,
-    WrearrError,
-)
-from .norms import (
-    NormSpec,
-    OrliczFunction,
-    capped,
-    cosh_minus_one,
-    l_log_l,
-    luxemburg_norm,
-    membership_route_a,
-    membership_route_b,
-    modular,
-    norm_route_a,
-    norm_route_b,
-    power,
-)
-from .stepfn import (
-    LEBESGUE,
-    DensityMeasure,
-    Measure,
-    StepFunction,
-    distribution,
-    ess_sup,
-    generalized_inverse,
-    integrate,
-    rearrange,
-    step_add,
-    step_equal,
-    step_mul,
-    step_value_residual,
-)
-from .weighted import (
-    ExpWeight,
-    StepWeight,
-    Weight,
-    WeightedContext,
-    weighted_distribution,
-    weighted_rearrangement,
-    weighted_rearrangement_oracle,
-    weighted_trace,
-)
+from . import algebra, errors, norms, stepfn, weighted
+from .algebra import *
+from .errors import *
+from .norms import *
+from .stepfn import *
+from .weighted import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algebra",
-    "Operator",
-    "Projection",
-    "absolute",
-    "apply_function",
-    "partial_isometry_conjugates",
-    "singular_value_function",
-    "spectral_projection",
-    "EigenSolverError",
-    "InfiniteValueError",
-    "NormOverflowError",
-    "ParseError",
-    "ValidationError",
-    "WrearrError",
-    "NormSpec",
-    "OrliczFunction",
-    "capped",
-    "cosh_minus_one",
-    "l_log_l",
-    "luxemburg_norm",
-    "membership_route_a",
-    "membership_route_b",
-    "modular",
-    "norm_route_a",
-    "norm_route_b",
-    "power",
-    "LEBESGUE",
-    "DensityMeasure",
-    "Measure",
-    "StepFunction",
-    "distribution",
-    "ess_sup",
-    "generalized_inverse",
-    "integrate",
-    "rearrange",
-    "step_add",
-    "step_equal",
-    "step_mul",
-    "step_value_residual",
-    "ExpWeight",
-    "StepWeight",
-    "Weight",
-    "WeightedContext",
-    "weighted_distribution",
-    "weighted_rearrangement",
-    "weighted_rearrangement_oracle",
-    "weighted_trace",
-]
+__all__ = [name for m in (algebra, errors, norms, stepfn, weighted) for name in m.__all__]

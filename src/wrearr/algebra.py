@@ -17,8 +17,6 @@ from .errors import ValidationError
 from .stepfn import LEBESGUE, StepFunction, _decreasing, integrate, step_add, step_mul
 
 __all__ = [
-    "MAX_BLOCK_SIZE",
-    "MAX_TOTAL_DIMENSION",
     "Algebra",
     "Operator",
     "Projection",

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "WrearrError",
+    "ValidationError",
+    "ParseError",
+    "EigenSolverError",
+    "InfiniteValueError",
+    "NormOverflowError",
+]
+
 
 class WrearrError(Exception):
     """Base class for all library errors."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import singular_value_function
 from .errors import NormOverflowError, ParseError, ValidationError
-from .stepfn import LEBESGUE, integrate
+from .stepfn import LEBESGUE, _live, integrate
 from .weighted import weighted_rearrangement
 
 __all__ = [
@@ -263,9 +263,8 @@ def _atoms(f, m):
     modular of any scaling of ``f`` depends on nothing else.  They are kept
     on ``f``, read-only, for the last measure object asked for."""
     if f._atoms is None or f._atoms[0] is not m:
-        masses = m.piece_masses(f.breakpoints)
-        live = masses > 0
-        levels, masses = np.abs(f.values[live]), masses[live]
+        values, masses = _live(f, m)
+        levels = np.abs(values)
         levels.setflags(write=False)
         masses.setflags(write=False)
         f._atoms = (m, levels, masses, float(levels.max(initial=0.0)))

@@ -36,7 +36,6 @@ __all__ = [
     "distribution",
     "rearrange",
     "generalized_inverse",
-    "ess_sup",
     "step_add",
     "step_mul",
     "step_equal",
@@ -227,8 +226,8 @@ class Measure:
     def piece_masses(self, bp):
         """The mass of each piece [bp[i], bp[i+1]) of increasing breakpoints."""
         c = self.cumulative(bp)
-        if type(c) is float:  # np.diff's error on 0-d input
-            raise ValueError("diff requires input that is at least one dimensional")
+        if type(c) is float:  # a 0-d array of breakpoints has no pieces
+            raise ValidationError("piece masses need a 1-d array of breakpoints")
         return c[..., 1:] - c[..., :-1]
 
     def total(self):
@@ -275,6 +274,14 @@ class DensityMeasure(Measure):
         return f"{type(self).__name__}({self.density!r})"
 
 
+def _live(f, m):
+    """The values of ``f`` on its pieces of positive ``m``-mass, and those
+    masses; the pieces of zero mass count for nothing under ``m``."""
+    masses = m.piece_masses(f.breakpoints)
+    live = masses > 0
+    return f.values[live], masses[live]
+
+
 def integrate(f, m):
     """Integral of ``f`` over [0, oo) against ``m``.
 
@@ -288,12 +295,11 @@ def integrate(f, m):
     """
     if f.values.size == 0:
         return 0.0
-    masses = m.piece_masses(f.breakpoints)
-    live = masses > 0
-    if (np.isinf(f.values) & live).any():
+    values, masses = _live(f, m)
+    if np.isinf(values).any():
         return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(masses[live].dot(f.values[live]))
+        total = float(masses.dot(values))
     if not math.isfinite(total):
         raise NormOverflowError("the integral overflows the float range")
     return total
@@ -328,14 +334,13 @@ def rearrange(f, m):
     """
     if not f.is_nonnegative():
         raise ValidationError("rearrangement and distribution need a non-negative function")
-    masses = m.piece_masses(f.breakpoints)
-    live = masses > 0
-    if (np.isinf(f.values) & live).any():
+    values, masses = _live(f, m)
+    if np.isinf(values).any():
         raise ValidationError(
             "function is infinite on a set of positive mass; its rearrangement "
             "and distribution are not eventually-zero step functions"
         )
-    return _decreasing(f.values[live], masses[live], m.total())
+    return _decreasing(values, masses, m.total())
 
 
 def distribution(f, m):
@@ -359,13 +364,6 @@ def generalized_inverse(d):
         raise ValidationError("an infinite plateau has no eventually-zero inverse")
     # canonical values are strictly decreasing, so reversed they are the breakpoints
     return StepFunction._raw(np.concatenate([[0.0], d.values[::-1]]), d.breakpoints[:0:-1])
-
-
-def ess_sup(f, m):
-    """Essential supremum of ``f`` with respect to ``m``."""
-    masses = m.piece_masses(f.breakpoints)
-    live = masses > 0
-    return float(f.values[live].max()) if live.any() else 0.0
 
 
 def _union(a, b):

@@ -35,7 +35,7 @@ from .algebra import (
     singular_value_function,
     spectral_projection,
 )
-from .errors import ValidationError
+from .errors import ValidationError, WrearrError
 from .generate import (
     random_block_orthogonal,
     random_context,
@@ -255,18 +255,12 @@ def _diag_shrink_candidates(inst):
     if entries.size > 1:
         for i in range(entries.size):
             keep = np.arange(entries.size) != i
-            try:
-                small = Algebra.matrix_blocks([1] * int(keep.sum()), lam[keep])
-            except ValidationError:
-                continue
+            small = Algebra.matrix_blocks([1] * int(keep.sum()), lam[keep])
             small_a = Operator.from_diagonal(small, entries[keep])
             yield WeightedContext(small, ctx.weight), small_a, *rest
     if isinstance(ctx.weight, StepWeight) and ctx.weight.density.piece_count > 1:
-        dens = ctx.weight.density
-        try:  # drop the last density step
-            smaller = StepWeight(StepFunction(dens.breakpoints[:-1], dens.values[:-1]))
-        except ValidationError:
-            return
+        dens = ctx.weight.density  # drop the last density step
+        smaller = StepWeight(StepFunction(dens.breakpoints[:-1], dens.values[:-1]))
         yield (WeightedContext(ctx.algebra, smaller), a, *rest)
 
 
@@ -283,7 +277,7 @@ def _shrink(inst, fails, candidates):
                     current = cand
                     progress = True
                     break
-            except Exception:
+            except WrearrError:  # a candidate the library rejects is passed over
                 pass
             if budget <= 0:
                 break

@@ -43,12 +43,21 @@ ORACLE_DIMENSION_CAP = 20
 class Weight(Measure):
     """Base class for weights: the measure a decreasing density defines.
 
-    Concrete weights add ``cumulative_inverse``, the inverse of the cumulative
-    mass ``W``, which is continuous, zero at zero and strictly increasing up to
-    the end of the density's support.
+    Concrete weights supply ``_cumulative_inverse``, the inverse of the
+    cumulative mass ``W``, which is continuous, zero at zero and strictly
+    increasing up to the end of the density's support; ``cumulative_inverse``
+    checks its domain, as ``cumulative`` does for ``_cumulative``.
     """
 
     __slots__ = ()
+
+    def cumulative_inverse(self, u):
+        """``W``'s inverse at ``0 <= u <= total()``; vectorized."""
+        uu = np.asarray(u, dtype=float)
+        if not ((uu >= 0).all() and (uu <= self.total()).all()):  # also catches nan
+            raise ValidationError("cumulative inverse needs 0 <= u <= total mass")
+        out = self._cumulative_inverse(uu)
+        return float(out) if uu.ndim == 0 else out
 
 
 class StepWeight(DensityMeasure, Weight):
@@ -65,12 +74,8 @@ class StepWeight(DensityMeasure, Weight):
             )
         super().__init__(density)
 
-    def cumulative_inverse(self, u):
-        uu = np.asarray(u, dtype=float)
-        if not ((uu >= 0).all() and (uu <= self.total()).all()):  # also catches nan
-            raise ValidationError("cumulative inverse needs 0 <= u <= total mass")
-        out = np.interp(uu, self._cum, self._knots)
-        return float(out) if uu.ndim == 0 else out
+    def _cumulative_inverse(self, u):
+        return np.interp(u, self._cum, self._knots)
 
 
 class ExpWeight(Weight):
@@ -82,13 +87,9 @@ class ExpWeight(Weight):
         # integral of exp(-s) over [0, t) = 1 - exp(-t), exact via expm1
         return -np.expm1(-t)
 
-    def cumulative_inverse(self, u):
-        uu = np.asarray(u, dtype=float)
-        if not ((uu >= 0).all() and (uu <= 1).all()):  # also catches nan
-            raise ValidationError("cumulative inverse needs 0 <= u <= 1")
+    def _cumulative_inverse(self, u):
         with np.errstate(divide="ignore"):
-            out = -np.log1p(-uu)
-        return float(out) if uu.ndim == 0 else out
+            return -np.log1p(-u)
 
     def __repr__(self):
         return "ExpWeight()"

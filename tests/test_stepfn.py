@@ -14,7 +14,6 @@ from wrearr import (
     StepWeight,
     ValidationError,
     distribution,
-    ess_sup,
     generalized_inverse,
     integrate,
     rearrange,
@@ -299,6 +298,17 @@ class TestIntegrate:
         with pytest.raises(NormOverflowError):
             integrate(f, m)
 
+    # W(40) and W(41) both round to 1.0 under the exponential weight, so the
+    # piece [40, 41) gets mass 0 (ROADMAP item 2); the fix must flip these
+    @pytest.mark.xfail(strict=True, reason="piece masses cancel on far pieces")
+    @pytest.mark.parametrize(
+        "value,expected", [(5.0, 1.3427360329783e-17), (math.inf, math.inf)], ids=["finite", "inf"]
+    )
+    def test_far_piece_under_the_exponential_weight(self, value, expected):
+        assert integrate(StepFunction([0, 40, 41], [0, value]), EXP) == pytest.approx(
+            expected, rel=1e-12, abs=0.0
+        )
+
 
 class TestDistribution:
     def test_indicator_lebesgue(self):
@@ -427,11 +437,6 @@ class TestPointwiseOps:
         f = StepFunction([0, 1], [2.0])
         with pytest.raises(ValidationError):
             f.map_values(lambda v: v + 1.0)
-
-    def test_ess_sup_ignores_null_sets(self):
-        f = StepFunction([0, 3, 4], [1.0, 9.0])
-        assert ess_sup(f, LEBESGUE) == 9.0
-        assert ess_sup(f, WEIGHTED) == 1.0
 
 
 class TestStepEqual:

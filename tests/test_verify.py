@@ -89,6 +89,20 @@ def test_shrinker_reduces_diagonal_instance():
     assert small[0].weight.density.piece_count == 1
 
 
+def test_shrinker_lets_a_non_library_error_through():
+    # a residual that raises anything but a WrearrError is a bug in the
+    # property, never a candidate that passes it
+    alg = Algebra.matrix_blocks([1] * 3, [1.0] * 3)
+    ctx = WeightedContext(alg, StepWeight(StepFunction([0, 1, 2], [2.0, 1.0])))
+    inst = (ctx, Operator.from_diagonal(alg, [3.0, 2.0, 1.0]))
+
+    def fails(candidate):
+        raise TypeError("a bug in the residual")
+
+    with pytest.raises(TypeError, match="a bug in the residual"):
+        _shrink(inst, fails, _diag_shrink_candidates)
+
+
 def test_reference_checks_hold_on_tiny_operators():
     # the references cut off relative to ||a|| or test for exact zero; an
     # absolute 1e-9 rank cut-off expected rank 0 here and gave residual 5

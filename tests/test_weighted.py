@@ -506,8 +506,8 @@ def test_0d_input_gives_a_python_float(m):
         assert type(f(t)) is float and f(t) == 1.0
         assert type(m.cumulative(t)) is float and m.cumulative(t) == m.cumulative([1.5])[0]
     assert type(weighted_rearrangement_oracle(CTX_312, DIAG_312, np.array(0.5))) is float
-    # a 0-d breakpoint array has no pieces: numpy's error for np.diff, as before
-    with pytest.raises(ValueError, match="at least one dimensional"):
+    # a 0-d breakpoint array has no pieces
+    with pytest.raises(ValidationError, match="1-d array of breakpoints"):
         m.piece_masses(np.array(1.5))
 
 
