@@ -407,28 +407,22 @@ def one_sided_svd(matrix, block_index=0):
             raise EigenSolverError(block_index, "matrix has non-finite entries")
         return np.array([s]), np.array([[1.0]])
     bt, e = _prescaled(a, block_index)
-    cols = bt.tolist()
-    n = len(cols)
+    n = len(bt)
     if not n:  # the empty block
         return np.zeros(0), np.ones((0, 0))
-    live = [k for k, c in enumerate(cols) if any(c)]  # a zero column never rotates
+    live = [k for k, c in enumerate(bt.tolist()) if any(c)]  # a zero column never rotates
     # a zero column is a zero singular value, which fails the gate
     vt = _preconditioner(bt) if 3 <= n <= PYTHON_FLOAT_CUTOFF and len(live) == n else None
-    if vt is None:
-        rows = [c + u for c, u in zip(cols, np.eye(n).tolist())]  # [b^T | I]
-    else:  # [C^T | V0^T], C = b V0, whose columns are at least sigma_n long
-        rows = np.concatenate((vt @ bt, vt), axis=1).tolist()
+    # [b^T | I], or [C^T | V0^T] with C = b V0, whose columns are at least sigma_n long
+    rows = np.concatenate((bt, np.eye(n)) if vt is None else (vt @ bt, vt), axis=1).tolist()
     tol = _off_diagonal_tol(n)
-    # None while the list kernel has the block, then the sweeps it spent
-    spent = 0 if n > PYTHON_FLOAT_CUTOFF else None
-    if spent is None and len(live) > 1:  # one live column has no pair to test
-        spent = _sweep(rows, n, live, block_index, tol)
+    # None when the list kernel finished the block, else the sweeps it spent
+    spent = _sweep(rows, n, live, block_index, tol) if n <= PYTHON_FLOAT_CUTOFF else 0
     if spent is None:
         norms = _list_square_norms(rows, n)
     else:  # a larger block, or a smaller one whose sweep met a column below _TINY
         rows = np.array(rows)
-        if len(live) > 1:
-            _batch_sweep(rows, n, live, block_index, tol, spent)
+        _batch_sweep(rows, n, live, block_index, tol, spent)
         norms = np.einsum("ij,ij->i", rows[:, :n], rows[:, :n]).tolist()
     sv = _singular_values(rows, norms, n, e, block_index)
     order = sorted(range(n), key=sv.__getitem__, reverse=True)

@@ -66,15 +66,6 @@ def _require(obj, key, kind, where):
     return value
 
 
-def _float(x, where):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ParseError(f"{where}: expected a number")
-    try:
-        return float(x)
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise ParseError(f"{where}: number out of the float range") from exc
-
-
 def _float_list(raw, where):
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list of numbers")
@@ -119,7 +110,8 @@ def _parse_algebra(obj, where="algebra"):
             raise ParseError(f"{where}: block sizes must be integers")
         return Algebra.matrix_blocks(sizes, weights)
     if kind == "steps":
-        return Algebra.commutative(_float(_require(obj, "bound", None, where), f"{where}.bound"))
+        bound = _require(obj, "bound", None, where)
+        return Algebra.commutative(_float_list([bound], f"{where}.bound")[0])
     raise ParseError(f"{where}: unknown algebra kind {kind!r}")
 
 

@@ -47,7 +47,7 @@ def random_step_weight(rng, max_pieces=8):
     widths = rng.uniform(0.3, 1.5, size=k)
     breakpoints = np.concatenate([[0.0], widths.cumsum()])
     top = rng.uniform(0.5, 3.0)
-    ratios = rng.uniform(0.3, 0.9, size=k - 1) if k > 1 else np.array([])
+    ratios = rng.uniform(0.3, 0.9, size=k - 1)
     values = top * np.concatenate([[1.0], ratios.cumprod()])
     return StepWeight(StepFunction(breakpoints, values))
 
@@ -71,7 +71,7 @@ def random_operator(rng, algebra):
         blocks = [rng.uniform(-1.0, 1.0, size=(n, n)) for n in algebra.block_sizes]
         return Operator(algebra, blocks=blocks)
     k = int(rng.integers(1, 6))
-    cuts = np.sort(rng.uniform(0.0, algebra.domain_bound, size=k - 1)) if k > 1 else np.array([])
+    cuts = np.sort(rng.uniform(0.0, algebra.domain_bound, size=k - 1))
     breakpoints = np.concatenate([[0.0], cuts, [algebra.domain_bound]])
     keep = breakpoints[1:] > breakpoints[:-1]
     breakpoints = np.concatenate([[0.0], breakpoints[1:][keep]])

@@ -121,15 +121,6 @@ class StepFunction:
     def zero(cls):
         return cls._raw([0.0], [])
 
-    @classmethod
-    def indicator(cls, start, end):
-        """Indicator of the interval [start, end)."""
-        if not 0 <= start < end < math.inf:
-            raise ValidationError("indicator needs 0 <= start < end < inf")
-        if start == 0:
-            return cls([0.0, end], [1.0])
-        return cls([0.0, start, end], [0.0, 1.0])
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -157,7 +148,7 @@ class StepFunction:
         return float(out) if tt.ndim == 0 else out
 
     def max_abs(self):
-        return float(np.abs(self.values).max()) if self.values.size else 0.0
+        return float(np.abs(self.values).max(initial=0.0))
 
     def is_zero(self):
         return self.values.size == 0
@@ -187,8 +178,6 @@ class StepFunction:
         implicit zero tail stays zero."""
         if fn(0.0) != 0.0:
             raise ValidationError("map_values needs fn(0) == 0")
-        if not self.values.size:
-            return StepFunction.zero()
         return StepFunction._raw(self.breakpoints, np.asarray(fn(self.values), dtype=float))
 
     def __eq__(self, other):
@@ -293,8 +282,6 @@ def integrate(f, m):
     contribute nothing regardless of their value.  Raises
     :class:`NormOverflowError` when the sum of finite terms overflows.
     """
-    if f.values.size == 0:
-        return 0.0
     values, masses = _live(f, m)
     if np.isinf(values).any():
         return math.inf

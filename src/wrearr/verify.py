@@ -420,7 +420,7 @@ def _support_projection_trace(inst):
     _, a = inst
     pos = absolute(a)
     p = spectral_projection(pos, 0.0)
-    # the rank cut-off is relative, like spectral_projection's clustering
+    # LAPACK's rank, at a cut-off far above either solver's rounding of a zero singular value
     tol_rank = 1e-9 * a.norm()
     expected = 0.0
     for lam, b in zip(a.algebra.trace_weights, a.blocks):

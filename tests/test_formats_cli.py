@@ -325,6 +325,16 @@ class TestCliErrors:
         )
         assert main(["mu", "--input", str(bad)]) == 3
 
+    # one block too many would otherwise be dropped in silence
+    @pytest.mark.parametrize("blocks", [[[2.0], [3.0]], []], ids=["too-many", "too-few"])
+    def test_wrong_number_of_blocks_exits_3(self, capsys, tmp_path, blocks):
+        bad = tmp_path / "op.json"
+        algebra = {"kind": "matrix", "blocks": [1], "weights": [1.0]}
+        bad.write_text(json.dumps({"algebra": algebra, "blocks": blocks}))
+        assert main(["mu", "--input", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "wrong number of blocks" in captured.err
+
 
 class TestGen:
     def test_deterministic_bytes(self, tmp_path):

@@ -158,10 +158,6 @@ class TestConstruction:
         f = StepFunction([0, 1, 2], [math.inf, 1.0])
         assert f(0.5) == math.inf
 
-    def test_indicator(self):
-        chi = StepFunction.indicator(1, 2)
-        assert chi(0.5) == 0.0 and chi(1.0) == 1.0 and chi(2.0) == 0.0
-
     @given(step_functions())
     @settings(max_examples=60)
     def test_evaluation_is_right_continuous(self, f):

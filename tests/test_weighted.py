@@ -410,6 +410,20 @@ class TestOracle:
                 assert mu(float(t)) == pytest.approx(value, abs=1e-10)
 
 
+def _ky_fan_excess(rearranged, a, b):
+    """The largest relative excess of ``int_0^t`` of the rearrangement of
+    ``a + b`` over the sum of those of ``a`` and ``b``, at every breakpoint of
+    the three rearrangements."""
+    fs = [rearranged(x) for x in (a + b, a, b)]
+    t = np.concatenate([f.breakpoints for f in fs])
+    # the integral is piecewise linear between the breakpoints
+    lhs, ia, ib = (
+        np.interp(t, f.breakpoints, np.append(0.0, (f.values * np.diff(f.breakpoints)).cumsum()))
+        for f in fs
+    )
+    return float(((lhs - ia - ib) / np.maximum(ia + ib, math.ulp(0.0))).max())
+
+
 class TestStructuralProperties:
     def test_small_t_limit_is_operator_norm(self):
         rng = rng_from_seed(52)
@@ -441,6 +455,22 @@ class TestStructuralProperties:
             assert step_equal(
                 weighted_rearrangement(ctx, lam * a), mu.scaled(abs(lam)), 1e-10, 1e-10
             )
+
+    def test_weighted_ky_fan_inequality_needs_a_non_increasing_density(self):
+        # int_0^t mu^w(a + b) <= int_0^t mu^w(a) + int_0^t mu^w(b) at every
+        # breakpoint; the control rearranges the same pairs under an
+        # increasing density, which StepWeight turns away, and breaks it
+        up = DensityMeasure(StepFunction([0, 1, 2, 3], [0.2, 1.0, 3.0]))
+        rng = rng_from_seed(62)
+        control = 0.0
+        for _ in range(300):
+            ctx = random_context(rng)
+            a, b = random_operator(rng, ctx.algebra), random_operator(rng, ctx.algebra)
+            assert _ky_fan_excess(lambda x: weighted_rearrangement(ctx, x), a, b) <= 1e-12
+            control = max(
+                control, _ky_fan_excess(lambda x: rearrange(singular_value_function(x), up), a, b)
+            )
+        assert control > 0.1
 
     def test_equivalent_projection_traces_match(self):
         v = Operator(Algebra.matrix_blocks([2], [1.0]), blocks=[np.array([[0.0, 1.0], [0.0, 0.0]])])
