@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import singular_value_function
 from .errors import NormOverflowError, ParseError, ValidationError
 from .stepfn import LEBESGUE, _live, integrate
-from .weighted import weighted_rearrangement
+from .weighted import _check_member, weighted_rearrangement
 
 __all__ = [
     "OrliczFunction",
@@ -389,6 +389,7 @@ luxemburg_norm.__doc__ = luxemburg_norm.__doc__.format(width=LUXEMBURG_RELATIVE_
 
 def norm_route_a(ctx, spec, a):
     """Norm of the singular value function under the weighted measure."""
+    _check_member(ctx, a)
     return luxemburg_norm(spec.psi, singular_value_function(a), ctx.weight)
 
 
@@ -412,6 +413,7 @@ def _has_finite_modular(psi, f, m):
 def membership_route_a(ctx, spec, a):
     """Whether some positive scaling of the singular value function has a
     finite modular under the weighted measure."""
+    _check_member(ctx, a)
     return _has_finite_modular(spec.psi, singular_value_function(a), ctx.weight)
 
 

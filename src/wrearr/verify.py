@@ -114,16 +114,16 @@ def _rel_gap(lhs, rhs):
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
+def _worst(excess):
+    """The largest entry of the array ``excess``, or 0 when none is positive."""
+    return max([0.0, *excess.tolist()])
+
+
 def _shape_residual(f):
-    """0 when ``f`` is a valid non-increasing right-continuous step function."""
-    if not f.is_nonincreasing():
-        return 1.0
-    # right continuity of the representation: the value at each breakpoint
-    # is the value of the piece to its right
-    for i, (a, _, v) in enumerate(f.pieces()):
-        if f(a) != v:
-            return 1.0
-    return 0.0 if f(f.support_end) == 0.0 else 1.0
+    """0 when ``f`` is a valid non-increasing right-continuous step function:
+    its value at each breakpoint is that of the piece to its right, 0 at the last."""
+    ok = f.is_nonincreasing() and (f(f.breakpoints) == np.concatenate((f.values, [0.0]))).all()
+    return 0.0 if ok else 1.0
 
 
 def _routes_disagree(ctx, a, mu):
@@ -134,23 +134,69 @@ def _routes_disagree(ctx, a, mu):
 
 
 # -- instance makers ----------------------------------------------------------
+# Most are one ``_drawn(...)`` line, some with an appender for a scalar or
+# sample points at the end.
 
 
-def _corpus(rng):
-    """Mixed corpus: matrix and commutative algebras, step and exp weights."""
-    ctx = random_context(rng)
-    return ctx, random_operator(rng, ctx.algebra)
+def _matrix_context(rng):
+    return WeightedContext(random_matrix_algebra(rng), random_weight(rng))
 
 
-def _matrix_corpus(rng):
-    ctx = WeightedContext(random_matrix_algebra(rng), random_weight(rng))
-    return ctx, random_operator(rng, ctx.algebra)
+def _diag_context(rng):
+    return WeightedContext(random_diagonal_algebra(rng), random_step_weight(rng))
 
 
-def _diag_corpus(rng):
-    alg = random_diagonal_algebra(rng)
-    ctx = WeightedContext(alg, random_step_weight(rng))
-    return ctx, random_diagonal_operator(rng, alg)
+def _drawn(context, *draws):
+    """Maker of (ctx, *operators): ``context(rng)``, then ``draw(rng, ctx.algebra)`` per draw."""
+
+    def make(rng):
+        ctx = context(rng)
+        return (ctx, *(draw(rng, ctx.algebra) for draw in draws))
+
+    return make
+
+
+def _with_scalar(maker, lo, hi):
+    """Maker of (*maker's fields, lam), lam uniform on [lo, hi)."""
+
+    def make(rng):
+        return (*maker(rng), float(rng.uniform(lo, hi)))
+
+    return make
+
+
+def _with_times(maker, size, reach=1.1):
+    """Maker of (*maker's fields, ts), ts uniform on [0, reach * total weight);
+    with ``size=None`` ts is a single float."""
+
+    def make(rng):
+        inst = maker(rng)
+        return (*inst, rng.uniform(0.0, reach * inst[0].weight.total(), size=size))
+
+    return make
+
+
+def _with_levels(maker, size, reach=1.0):
+    """Maker of (ctx, a, ts), ts uniform on [0, reach * (||a|| + 1e-6)), sized as in _with_times."""
+
+    def make(rng):
+        ctx, a = maker(rng)
+        return ctx, a, rng.uniform(0.0, reach * (a.norm() + 1e-6), size=size)
+
+    return make
+
+
+# mixed: matrix and commutative algebras, step and exp weights
+_corpus = _drawn(random_context, random_operator)
+_corpus_pair = _drawn(random_context, random_operator, random_operator)
+_positive_corpus = _drawn(random_context, random_positive_operator)
+_matrix_corpus = _drawn(_matrix_context, random_operator)
+_diag_corpus = _drawn(_diag_context, random_diagonal_operator)
+_shift_instance = _with_times(_corpus_pair, (8, 2), reach=0.6)
+_level_set_instance = _with_levels(_drawn(_matrix_context, random_positive_operator), None)
+_spectrum_instance = _with_levels(_matrix_corpus, 8, reach=1.1)
+_isometry_instance = _drawn(_matrix_context, random_partial_isometry)
+_conjugation_instance = _drawn(_matrix_context, random_operator, random_block_orthogonal)
 
 
 def _random_measure(rng):
@@ -164,58 +210,6 @@ def _random_measure(rng):
 
 def _step_instance(rng):
     return random_step_function(rng), _random_measure(rng)
-
-
-def _with_scalar(corpus, lo, hi):
-    """Maker of (*corpus, lam), lam uniform on [lo, hi)."""
-
-    def make(rng):
-        return (*corpus(rng), float(rng.uniform(lo, hi)))
-
-    return make
-
-
-def _with_times(corpus, size):
-    """Maker of (ctx, a, ts), ts uniform on [0, 1.1 * total weight); with
-    ``size=None`` ts is a single float."""
-
-    def make(rng):
-        ctx, a = corpus(rng)
-        return ctx, a, rng.uniform(0.0, 1.1 * ctx.weight.total(), size=size)
-
-    return make
-
-
-def _corpus_pair(rng):
-    ctx, a = _corpus(rng)
-    return ctx, a, random_operator(rng, ctx.algebra)
-
-
-def _shift_instance(rng):
-    ctx, a, b = _corpus_pair(rng)
-    return ctx, a, b, rng.uniform(0.0, 0.6 * ctx.weight.total(), size=(8, 2))
-
-
-def _positive_corpus(rng):
-    ctx = random_context(rng)
-    return ctx, random_positive_operator(rng, ctx.algebra)
-
-
-def _level_set_instance(rng):
-    ctx = WeightedContext(random_matrix_algebra(rng), random_weight(rng))
-    a = random_positive_operator(rng, ctx.algebra)
-    return ctx, a, float(rng.uniform(0.0, a.norm() + 1e-6))
-
-
-def _spectrum_instance(rng):
-    ctx, a = _matrix_corpus(rng)
-    return ctx, a, rng.uniform(0.0, 1.1 * (a.norm() + 1e-6), size=8)
-
-
-def _isometry_instance(rng):
-    alg = random_matrix_algebra(rng)
-    ctx = WeightedContext(alg, random_weight(rng))
-    return ctx, random_partial_isometry(rng, alg)
 
 
 def _labels_instance(rng):
@@ -233,11 +227,6 @@ def _capped_positive_corpus(rng):
     if norm > 0.9:
         a = (0.9 / norm) * a
     return ctx, a
-
-
-def _conjugation_instance(rng):
-    ctx, a = _matrix_corpus(rng)
-    return ctx, a, random_block_orthogonal(rng, ctx.algebra)
 
 
 def _no_instance(rng):
@@ -353,10 +342,7 @@ def _step_equimeasurable(inst):
 
 def _excess_at_rearrangement(d, mu, points):
     """Worst excess of d(mu(t)) over t on ``points``; 0 when d(mu(t)) <= t there."""
-    worst = 0.0
-    for t in points:
-        worst = max(worst, d(mu(float(t))) - float(t))
-    return worst
+    return _worst(d(mu(points)) - points)
 
 
 def _step_distribution_bound(inst):
@@ -513,10 +499,8 @@ def _shift(combine, excess):
         mu_c = weighted_rearrangement(ctx, combine(a, b))
         mu_a = weighted_rearrangement(ctx, a)
         mu_b = weighted_rearrangement(ctx, b)
-        worst = 0.0
-        for t, s in ts:
-            worst = max(worst, excess(mu_c(t + s), mu_a(float(t)), mu_b(float(s))))
-        return worst
+        t, s = ts.T
+        return _worst(excess(mu_c(t + s), mu_a(t), mu_b(s)))
 
     return residual
 

@@ -167,6 +167,18 @@ class TestCliCommands:
             "3.0,4.0,1.0",
         ]
 
+    @pytest.mark.parametrize("command", ["mu", "mux"])
+    def test_out_file_gets_the_bytes_of_stdout(self, capsys, tmp_path, command):
+        args = [command, "--input", f"{FIXTURES}/diag_312.json"]
+        if command == "mux":
+            args += ["--weight", f"{FIXTURES}/step_weight_21.json"]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+
     def test_taux_prints_twelve_significant_digits(self, capsys):
         code = main(
             [
@@ -334,6 +346,40 @@ class TestCliErrors:
         assert main(["mu", "--input", str(bad)]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "wrong number of blocks" in captured.err
+
+    @pytest.mark.parametrize(
+        "algebra, blocks, code, message",
+        [
+            ({"kind": "matrix", "blocks": [0], "weights": [1.0]}, [[]], 3,
+             "block sizes must be >= 1"),
+            ({"kind": "matrix", "blocks": [1], "weights": [1.0, 2.0]}, [[1.0]], 3,
+             "need one trace weight per block"),
+            ({"kind": "matrix", "blocks": [2.5], "weights": [1.0]}, [[1.0]], 2,
+             "block sizes must be integers"),
+            ({"kind": "matrix", "blocks": [1], "weights": 1.0}, [[1.0]], 2,
+             "field 'weights' has the wrong type"),
+            ("matrix", [[1.0]], 2, "field 'algebra' has the wrong type"),
+        ],
+        ids=["zero-size", "extra-weight", "fractional-size", "scalar-weights", "algebra-string"],
+    )
+    def test_malformed_algebra_exits_typed(self, capsys, tmp_path, algebra, blocks, code, message):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"algebra": algebra, "blocks": blocks}))
+        args = ["taux", "--input", str(op), "--weight", f"{FIXTURES}/step_weight_21.json"]
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_directory_as_input_exits_2(self, capsys, tmp_path):
+        args = ["taux", "--input", str(tmp_path), "--weight", f"{FIXTURES}/step_weight_21.json"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read" in captured.err
+
+    def test_negative_trials_exits_2(self, capsys):
+        assert main(["verify", "--trials", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--trials must be >= 0" in captured.err
 
 
 class TestGen:

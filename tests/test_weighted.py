@@ -40,9 +40,11 @@ from wrearr import (
 from wrearr.generate import (
     random_diagonal_algebra,
     random_diagonal_operator,
+    random_matrix_algebra,
     random_operator,
     random_context,
     random_step_weight,
+    random_weight,
     rng_from_seed,
 )
 
@@ -172,9 +174,38 @@ class TestWeightedTrace:
     def test_worked_diagonal_value(self):
         assert weighted_trace(CTX_312, DIAG_312) == pytest.approx(9.0, abs=1e-12)
 
-    def test_wrong_algebra_rejected(self):
-        with pytest.raises(ValidationError):
-            weighted_trace(CTX_312, Operator.identity(Algebra.matrix_blocks([2], [1.0])))
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            weighted_trace,
+            weighted_distribution,
+            weighted_rearrangement,
+            lambda ctx, a: weighted_rearrangement_oracle(ctx, a, 0.5),
+            lambda ctx, a: norm_route_a(ctx, NormSpec.parse("L2"), a),
+            lambda ctx, a: norm_route_b(ctx, NormSpec.parse("L2"), a),
+            lambda ctx, a: membership_route_a(ctx, NormSpec.parse("L2"), a),
+            lambda ctx, a: membership_route_b(ctx, NormSpec.parse("L2"), a),
+        ],
+        ids=[
+            "weighted_trace",
+            "weighted_distribution",
+            "weighted_rearrangement",
+            "weighted_rearrangement_oracle",
+            "norm_route_a",
+            "norm_route_b",
+            "membership_route_a",
+            "membership_route_b",
+        ],
+    )
+    def test_wrong_algebra_rejected(self, entry):
+        ctx = WeightedContext(Algebra.matrix_blocks([2], [1.0]), ExpWeight())
+        # other block sizes, and the same block size under another trace weight
+        for a in (
+            Operator.identity(M3),
+            Operator.from_diagonal(Algebra.matrix_blocks([2], [3.0]), [2.0, 1.0]),
+        ):
+            with pytest.raises(ValidationError, match="does not belong to the context's algebra"):
+                entry(ctx, a)
 
 
 class TestWeightedDistribution:
@@ -352,6 +383,12 @@ class TestSpectralMemo:
         assert singular_value_function(a) == singular_value_function(fresh())
 
 
+def _range_trace(ctx, bases):
+    """The weighted trace of the projection whose block j projects onto the
+    orthonormal columns of ``bases[j]``."""
+    return weighted_trace(ctx, Operator(ctx.algebra, blocks=[q @ q.T for q in bases]))
+
+
 class TestOracle:
     def test_worked_values(self):
         # dropping one coordinate costs cumulative weight 2, so it is
@@ -408,6 +445,51 @@ class TestOracle:
             for t, value in zip(ts, values):
                 assert weighted_rearrangement_oracle(ctx, a, float(t)) == value
                 assert mu(float(t)) == pytest.approx(value, abs=1e-10)
+
+    def test_defining_infimum_on_non_diagonal_operators(self):
+        # mu^w_t(a) = inf{||a e|| : tau_w(1 - e) <= t}: every projection e
+        # bounds it from above at t = tau_w(1 - e), and the complement e* of
+        # the top k right singular vectors attains it; ||a e|| and the vectors
+        # come from numpy.  t is read 1e-12 to the right, so that a breakpoint
+        # rounded down does not read the piece before it
+        rng = rng_from_seed(63)
+        worst_excess = worst_gap = 0.0
+        attained = 0
+        for _ in range(300):
+            alg = random_matrix_algebra(rng)
+            ctx = WeightedContext(alg, random_weight(rng))
+            a = random_operator(rng, alg)
+            mu = weighted_rearrangement(ctx, a)
+            svds = [np.linalg.svd(b) for b in a.blocks]
+            scale = 1.0 + max(s[0] for _, s, _ in svds)
+            for _ in range(5):
+                # per block, e projects onto the first r columns of q and 1 - e onto the rest
+                split = [
+                    (np.linalg.qr(rng.standard_normal((n, n)))[0], int(rng.integers(0, n + 1)))
+                    for n in alg.block_sizes
+                ]
+                t = _range_trace(ctx, [q[:, r:] for q, r in split])
+                norm_ae = max(
+                    (np.linalg.norm(b @ q[:, :r], 2) for b, (q, r) in zip(a.blocks, split) if r),
+                    default=0.0,
+                )
+                worst_excess = max(worst_excess, (mu(t * (1 + 1e-12)) - norm_ae) / scale)
+            # every singular value, largest first, with its block
+            ranked = sorted(
+                ((s_i, j) for j, (_, s, _) in enumerate(svds) for s_i in s), reverse=True
+            )
+            whole = weighted_trace(ctx, Operator.identity(alg))
+            for k in range(len(ranked) + 1):
+                kept = [sum(j == m for _, m in ranked[:k]) for j in range(len(svds))]
+                t_star = _range_trace(ctx, [vt[:r].T for (_, _, vt), r in zip(svds, kept)])
+                if t_star * (1 + 1e-12) >= whole:
+                    continue  # e = 0 is admissible there, so mu^w is 0
+                s_next = ranked[k][0] if k < len(ranked) else 0.0
+                worst_gap = max(worst_gap, abs(mu(t_star * (1 + 1e-12)) - s_next) / scale)
+                attained += 1
+        assert worst_excess <= 1e-12
+        assert worst_gap <= 1e-12
+        assert attained >= 1000
 
 
 def _ky_fan_excess(rearranged, a, b):
