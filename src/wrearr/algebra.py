@@ -9,6 +9,7 @@ Everything is real; all operators are bounded.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -348,8 +349,14 @@ def absolute(a):
     """The positive part |a| = (a^T a)^(1/2), computed per block."""
     if not a.is_matrix:
         return Operator(a.algebra, step=a.step.absolute())
-    hs = [(v * s) @ v.T for s, v in a._block_svd()]
-    # exactly symmetric, so one SVD of |a| serves all its spectral projections
+    return _symmetric_image(a, a._block_svd())
+
+
+def _symmetric_image(a, pairs):
+    """The operator of ``a``'s algebra with blocks ``v diag(x) v^T``, one per
+    (x, v) of ``pairs``; exactly symmetric, so one SVD of it serves all its
+    spectral projections."""
+    hs = [(v * x) @ v.T for x, v in pairs]
     return Operator(a.algebra, blocks=[0.5 * (h + h.T) for h in hs])
 
 
@@ -384,6 +391,8 @@ def spectral_projection(a, threshold):
     tie at the threshold cannot split an eigenspace, and every wider gap is
     resolved.
     """
+    if not isinstance(threshold, numbers.Real):
+        raise ValidationError("threshold must be a real number")
     if not threshold >= 0:
         raise ValidationError("threshold must be >= 0")
     if not a.is_matrix:
@@ -408,23 +417,22 @@ def apply_function(psi, a):
     to a positive operator, eigenvalue by eigenvalue.
 
     Raises :class:`InfiniteValueError` when ``psi`` is infinite somewhere on
-    the spectrum; callers read that as failed space membership.
+    the spectrum.
     """
-    if a.is_matrix:
-        svd = _positive_svd(a, "functional calculus argument")
-        spectra = [s for s, _ in svd]
-    elif (a.step.values < 0).any():
-        raise ValidationError("functional calculus needs a positive multiplier")
-    else:
-        spectra = [a.step.values]
-    mapped = [np.asarray(psi(s), dtype=float) for s in spectra]
-    if any(np.isinf(m).any() for m in mapped):
-        raise InfiniteValueError("function is infinite on the spectrum")
     if not a.is_matrix:
-        return Operator(a.algebra, step=StepFunction._raw(a.step.breakpoints, mapped[0]))
-    hs = [(v * m) @ v.T for m, (_, v) in zip(mapped, svd)]
-    # exactly symmetric: the image's SVD is kept
-    return Operator(a.algebra, blocks=[0.5 * (h + h.T) for h in hs])
+        if (a.step.values < 0).any():
+            raise ValidationError("functional calculus needs a positive multiplier")
+        image = _finite_image(psi, a.step.values)
+        return Operator(a.algebra, step=StepFunction._raw(a.step.breakpoints, image))
+    svd = _positive_svd(a, "functional calculus argument")
+    return _symmetric_image(a, [(_finite_image(psi, s), v) for s, v in svd])
+
+
+def _finite_image(psi, spectrum):
+    mapped = np.asarray(psi(spectrum), dtype=float)
+    if np.isinf(mapped).any():
+        raise InfiniteValueError("function is infinite on the spectrum")
+    return mapped
 
 
 def partial_isometry_conjugates(v):

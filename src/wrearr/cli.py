@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 property failure, 2 parse error, 3 validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -35,55 +36,41 @@ GEN_KINDS = ("block", "diag", "isometry", "weight")
 MAX_WEIGHT_STEPS = 8
 
 
+# the flags several commands share, each declared once
+_SHARED_FLAGS = {
+    "input": {"required": True, "help": "operator JSON file"},
+    "weight": {"required": True, "help": "weight JSON file"},
+    "out": {"help": "CSV output path (default: stdout)"},
+}
+_TABLE = []  # (name, help, [(flag, argparse keywords)], handler), one row per subcommand
+
+
+def _command(name, help_text, *shared, **own):
+    """Register the decorated handler as subcommand ``name``: the ``shared``
+    flags first, then its ``own``, each as ``--<flag>``."""
+    def register(run):
+        _TABLE.append((name, help_text, [(f, _SHARED_FLAGS[f]) for f in shared] + list(own.items()), run))
+        return run
+    return register
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="wrearr",
         description="Weighted rearrangements, weighted traces and two-route norms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mu = sub.add_parser("mu", help="singular value function as CSV")
-    p_mu.add_argument("--input", required=True, help="operator JSON file")
-    p_mu.add_argument("--out", help="CSV output path (default: stdout)")
-
-    p_mux = sub.add_parser("mux", help="weighted rearrangement as CSV")
-    p_mux.add_argument("--input", required=True, help="operator JSON file")
-    p_mux.add_argument("--weight", required=True, help="weight JSON file")
-    p_mux.add_argument("--out", help="CSV output path (default: stdout)")
-
-    p_taux = sub.add_parser("taux", help="weighted trace of an operator")
-    p_taux.add_argument("--input", required=True, help="operator JSON file")
-    p_taux.add_argument("--weight", required=True, help="weight JSON file")
-
-    p_norm = sub.add_parser("norm", help="norm by both routes")
-    p_norm.add_argument("--input", required=True, help="operator JSON file")
-    p_norm.add_argument("--weight", required=True, help="weight JSON file")
-    p_norm.add_argument(
-        "--norm",
-        required=True,
-        help="norm spec: L1, L2, Linf, orlicz:cosh-1, orlicz:llogl, "
-        "orlicz:pow:3, orlicz:capped:1.0",
-    )
-
-    p_verify = sub.add_parser("verify", help="run the property suite")
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--trials", type=int, default=100)
-
-    p_gen = sub.add_parser("gen", help="generate a random operator or weight file")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--kind", required=True, choices=GEN_KINDS)
-    p_gen.add_argument("--size", type=int, required=True)
-    p_gen.add_argument("--out", required=True, help="output JSON path")
-
+    for name, help_text, flags, run in _TABLE:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        for flag, keywords in flags:
+            p.add_argument("--" + flag, **keywords)
     return parser
 
 
 def _emit_csv(step, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            formats.write_step_csv(step, fh)
-    else:
-        formats.write_step_csv(step, sys.stdout)
+    with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        formats.write_step_csv(step, fh)
 
 
 def _load_context(args):
@@ -92,24 +79,31 @@ def _load_context(args):
     return WeightedContext(operator.algebra, weight), operator
 
 
+@_command("mu", "singular value function as CSV", "input", "out")
 def _cmd_mu(args):
     operator = formats.parse_operator(formats.load_json(args.input))
     _emit_csv(singular_value_function(operator), args.out)
     return EXIT_OK
 
 
+@_command("mux", "weighted rearrangement as CSV", "input", "weight", "out")
 def _cmd_mux(args):
     ctx, operator = _load_context(args)
     _emit_csv(weighted_rearrangement(ctx, operator), args.out)
     return EXIT_OK
 
 
+@_command("taux", "weighted trace of an operator", "input", "weight")
 def _cmd_taux(args):
     ctx, operator = _load_context(args)
     print(f"{weighted_trace(ctx, operator):.12g}")
     return EXIT_OK
 
 
+@_command("norm", "norm by both routes", "input", "weight", norm={
+    "required": True,
+    "help": "norm spec: L1, L2, Linf, orlicz:cosh-1, orlicz:llogl, orlicz:pow:3, orlicz:capped:1.0",
+})
 def _cmd_norm(args):
     spec = NormSpec.parse(args.norm)
     ctx, operator = _load_context(args)
@@ -133,6 +127,8 @@ def _finite_json(obj):
     return obj
 
 
+@_command("verify", "run the property suite",
+          seed={"type": int, "default": 42}, trials={"type": int, "default": 100})
 def _cmd_verify(args):
     if args.trials < 0:
         raise ParseError("--trials must be >= 0")
@@ -142,17 +138,20 @@ def _cmd_verify(args):
     results = run_suite(args.seed, args.trials)
     print(format_report(results))
     failing = [r for r in results if not r.passed]
-    if failing:
-        for r in failing:
-            dump = {"property": r.name, "worst_residual": r.worst_residual}
-            if r.counterexample:
-                dump.update(r.counterexample)
-            text = json.dumps(_finite_json(dump), sort_keys=True, allow_nan=False)
-            print("counterexample " + text, file=sys.stderr)
-        return EXIT_PROPERTY_FAILURE
-    return EXIT_OK
+    for r in failing:
+        dump = {"property": r.name, "worst_residual": r.worst_residual}
+        if r.counterexample:
+            dump.update(r.counterexample)
+        text = json.dumps(_finite_json(dump), sort_keys=True, allow_nan=False)
+        print("counterexample " + text, file=sys.stderr)
+    return EXIT_PROPERTY_FAILURE if failing else EXIT_OK
 
 
+@_command(
+    "gen", "generate a random operator or weight file",
+    seed={"type": int, "default": 0}, kind={"required": True, "choices": GEN_KINDS},
+    size={"type": int, "required": True}, out={"required": True, "help": "output JSON path"},
+)
 def _cmd_gen(args):
     size = args.size
     rng = generate.rng_from_seed(args.seed)
@@ -163,44 +162,26 @@ def _cmd_gen(args):
     else:
         if not 1 <= size <= MAX_BLOCK_SIZE:
             raise ParseError(f"size must be in 1..{MAX_BLOCK_SIZE}")
-        if args.kind == "diag":
-            algebra = Algebra.matrix_blocks([size], [float(rng.uniform(0.25, 2.0))])
-            operator = generate.random_diagonal_operator(rng, algebra)
-        elif args.kind == "isometry":
-            algebra = Algebra.matrix_blocks([size], [float(rng.uniform(0.25, 2.0))])
-            operator = generate.random_partial_isometry(rng, algebra)
-        else:  # block
-            algebra = generate.random_block_algebra(rng, size)
-            operator = generate.random_operator(rng, algebra)
+        if args.kind == "block":
+            operator = generate.random_operator(rng, generate.random_block_algebra(rng, size))
+        else:  # one block: a diagonal operator or a partial isometry
+            draw = generate.random_diagonal_operator if args.kind == "diag" else generate.random_partial_isometry
+            operator = draw(rng, Algebra.matrix_blocks([size], [float(rng.uniform(0.25, 2.0))]))
         obj = formats.operator_to_obj(operator)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(formats.dumps_canonical(obj))
     return EXIT_OK
 
 
-_COMMANDS = {
-    "mu": _cmd_mu,
-    "mux": _cmd_mux,
-    "taux": _cmd_taux,
-    "norm": _cmd_norm,
-    "verify": _cmd_verify,
-    "gen": _cmd_gen,
-}
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's generators need seeds >= 0
             raise ParseError("--seed must be >= 0")
-        return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return args.run(args)
     except WrearrError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_PARSE if isinstance(exc, ParseError) else EXIT_VALIDATION
 
 
 def run():

@@ -155,26 +155,24 @@ def weight_to_obj(w):
 
 
 def parse_weight(obj, where="weight"):
-    kind = _require(obj, "kind", str, where)
-    if kind == "step":
-        return StepWeight(parse_step(_require(obj, "mu", dict, where), f"{where}.mu"))
-    if kind == "exp":
-        return ExpWeight()
-    raise ParseError(f"{where}: unknown weight kind {kind!r}")
+    return _parse_kind(obj, where, "weight", StepWeight)
 
 
 def parse_measure(obj, where="measure"):
-    """A measure of any of the three kinds, as :func:`weight_to_obj` writes
-    it: Lebesgue measure, a non-negative step density of finite mass, or the
-    exponential weight."""
+    """A measure of any kind :func:`weight_to_obj` writes: Lebesgue measure, a
+    non-negative step density of finite mass, or the exponential weight."""
+    return _parse_kind(obj, where, "measure", DensityMeasure)
+
+
+def _parse_kind(obj, where, noun, density):  # a step kind is read as ``density``
     kind = _require(obj, "kind", str, where)
-    if kind == "lebesgue":
-        return LEBESGUE
     if kind == "step":
-        return DensityMeasure(parse_step(_require(obj, "mu", dict, where), f"{where}.mu"))
+        return density(parse_step(_require(obj, "mu", dict, where), f"{where}.mu"))
     if kind == "exp":
         return ExpWeight()
-    raise ParseError(f"{where}: unknown measure kind {kind!r}")
+    if kind == "lebesgue" and noun == "measure":  # a measure, but no weight
+        return LEBESGUE
+    raise ParseError(f"{where}: unknown {noun} kind {kind!r}")
 
 
 def write_step_csv(f, stream):

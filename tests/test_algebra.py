@@ -311,6 +311,18 @@ class TestSpectralProjection:
             with pytest.raises(ValidationError, match="threshold"):
                 spectral_projection(a, math.nan)
 
+    @pytest.mark.parametrize("threshold", [np.array([1.0, 2.0]), None, "1.0"], ids=["array", "none", "string"])
+    def test_non_scalar_threshold_rejected(self, threshold):
+        interval = Algebra.commutative(1.0)
+        for a in (
+            absolute(Operator.from_diagonal(M2, [2.0, -1.0])),
+            Operator.multiplier(interval, StepFunction([0, 1], [2.0])),
+        ):
+            with pytest.raises(ValidationError, match="threshold must be a real number"):
+                spectral_projection(a, threshold)
+        with pytest.raises(ValidationError, match="threshold must be >= 0"):
+            spectral_projection(a, -1.0)
+
     @pytest.mark.parametrize("k", [-1000, -530, -43, 0, 255, 498, 530, 1000])
     def test_scaled_projection_matches_unscaled(self, k):
         # tolerances are relative to ||a||, so 2^k a splits where a does
@@ -540,3 +552,22 @@ def test_multiplier_calculus_checks_its_domain():
         apply_function(capped(1.0), Operator.multiplier(interval, StepFunction([0.0, 1.0], [2.0])))
     assert Operator.multiplier(interval, StepFunction([0.0, 1.0], [1.0])).is_projection()
     assert not signed.is_projection()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Operator(M2, step=StepFunction([0, 1], [1.0])), "matrix algebra operators need matrix blocks"),
+        (lambda: Operator(Algebra.commutative(1.0), blocks=[np.eye(2)]), "commutative operators need a step payload"),
+        (lambda: Operator(Algebra.commutative(1.0), step=[1.0]), "step payload must be a StepFunction"),
+        (lambda: Operator(M2, blocks=[np.eye(2), np.eye(2)]), "wrong number of blocks"),
+        (lambda: Operator.from_diagonal(Algebra.commutative(1.0), [1.0]), "diagonal construction needs a matrix algebra"),
+        (lambda: Operator.from_diagonal(M2, [1.0, 2.0, 3.0]), "wrong number of diagonal entries"),
+        (lambda: Operator(M2, blocks=[np.ones((2, 2))]).diagonal_entries(), "operator is not diagonal"),
+    ],
+    ids=["matrix-with-step", "steps-with-blocks", "step-not-stepfunction", "block-count",
+         "diagonal-on-steps", "diagonal-count", "entries-of-non-diagonal"],
+)
+def test_operator_construction_errors_are_typed(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()

@@ -1,11 +1,17 @@
+import contextlib
 import dataclasses
+import io
+import itertools
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wrearr import (
     LEBESGUE,
@@ -20,6 +26,7 @@ from wrearr import (
 )
 import wrearr.verify as verify_mod
 from wrearr import formats
+from wrearr.algebra import MAX_BLOCK_SIZE
 from wrearr.cli import main
 from wrearr.generate import random_matrix_algebra, random_operator, rng_from_seed
 
@@ -77,6 +84,10 @@ class TestJsonRoundTrips:
             formats.parse_measure({"kind": "unknown"})
         with pytest.raises(ValidationError):
             formats.parse_measure({"kind": "step", "mu": {"breakpoints": [0, 1], "values": [-1.0]}})
+
+    def test_unknown_measure_object_is_not_serialized(self):
+        with pytest.raises(ValidationError, match="cannot serialize weight"):
+            formats.weight_to_obj(object())
 
     def test_canonical_serialization_is_stable(self):
         w = StepWeight(StepFunction([0, 1, 3], [2.0, 1.0]))
@@ -376,6 +387,23 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and "cannot read" in captured.err
 
+    @pytest.mark.parametrize(
+        "norm, message",
+        [("orlicz:pow:0.5", "power exponent must be >= 1"), ("orlicz:capped:0", "cap must be positive and finite")],
+    )
+    def test_bad_orlicz_parameter_exits_2(self, capsys, norm, message):
+        args = ["norm", "--input", f"{FIXTURES}/diag_312.json", "--weight", f"{FIXTURES}/step_weight_21.json"]
+        assert main(args + ["--norm", norm]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_block_that_is_no_list_exits_2(self, capsys, tmp_path):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"algebra": {"kind": "matrix", "blocks": [1], "weights": [1.0]}, "blocks": [5]}))
+        assert main(["mu", "--input", str(op)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: operator.blocks[0]: expected a list of numbers\n"
+
     def test_negative_trials_exits_2(self, capsys):
         assert main(["verify", "--trials", "-1"]) == 2
         captured = capsys.readouterr()
@@ -490,3 +518,115 @@ def test_package_runs_as_module():
     )
     assert result.returncode == 0, result.stderr
     assert "34 properties, 0 failing trial(s)" in result.stdout
+
+
+# -- a sweep of the accepted wire format --------------------------------------
+# Each CLI call on an accepted file either exits 0 with finite output, on
+# which the two routes agree, or exits 2 or 3 with one typed error line.
+
+SWEEP_NORMS = ["L1", "L1.5", "L2", "Linf", "orlicz:cosh-1", "orlicz:llogl", "orlicz:pow:3", "orlicz:capped:1.0"]
+
+
+def _binades(lo, hi):
+    """0 and +-m 2^k with m in [1, 2), k in [lo, hi]: subnormals below -1022."""
+    scaled = st.builds(
+        lambda sign, m, k: sign * math.ldexp(m, k),
+        st.sampled_from([1.0, -1.0]), st.floats(1.0, 2.0, exclude_max=True), st.integers(lo, hi),
+    )
+    return st.one_of(st.just(0.0), scaled)
+
+
+@st.composite
+def _matrix_operators(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    weights = draw(st.lists(st.sampled_from([0.25, 1.0, 3.0]), min_size=len(sizes), max_size=len(sizes)))
+    if draw(st.booleans()):  # each entry in its own binade
+        entry = _binades(-1074, 1023)
+    else:  # one binade for the whole operator
+        entry = _binades(*[draw(st.integers(-1074, 1023))] * 2)
+    blocks = [draw(st.lists(entry, min_size=n * n, max_size=n * n)) for n in sizes]
+    return {"algebra": {"kind": "matrix", "blocks": sizes, "weights": weights}, "blocks": blocks}
+
+
+@st.composite
+def _multipliers(draw):
+    n = draw(st.integers(1, 50))
+    widths = draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n))
+    breakpoints = [0.0, *itertools.accumulate(widths)]
+    values = draw(st.lists(_binades(-1000, 1000), min_size=n, max_size=n))
+    return {"algebra": {"kind": "steps", "bound": breakpoints[-1]},
+            "step": {"breakpoints": breakpoints, "values": values}}
+
+
+@st.composite
+def _weights(draw):
+    if draw(st.booleans()):
+        return {"kind": "exp"}
+    n = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(0.01, 4.0), min_size=n, max_size=n))
+    levels = draw(st.lists(st.integers(-100, 100), min_size=n, max_size=n))
+    mu = {"breakpoints": [0.0, *itertools.accumulate(widths)],
+          "values": [math.ldexp(1.0, k) for k in sorted(levels, reverse=True)]}
+    return {"kind": "step", "mu": mu}
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_wire_calls(operator_path, weight_path):
+    files = ["--input", str(operator_path), "--weight", str(weight_path)]
+    for argv in [["mux", *files], ["taux", *files], *(["norm", *files, "--norm", n] for n in SWEEP_NORMS)]:
+        code, out, err = _run_cli(argv)
+        if code != 0:
+            assert code in (2, 3), (argv, code, err)
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+            continue
+        assert err == "", argv
+        if argv[0] == "mux":
+            numbers = [float(x) for row in out.splitlines()[1:] for x in row.split(",")]
+        else:
+            numbers = [float(line.split()[-1]) for line in out.splitlines()]
+        assert all(math.isfinite(x) for x in numbers), (argv, out)
+        if argv[0] == "norm":
+            route_a, route_b, _ = numbers
+            assert abs(route_a - route_b) <= 1e-8 * abs(route_b), (argv, out)
+
+
+class TestWireSweep:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("wire")
+
+    @staticmethod
+    def _write(workdir, name, obj):
+        path = workdir / name
+        path.write_text(json.dumps(obj))
+        return path
+
+    def _sweep(self, workdir, operator, weight):
+        _check_wire_calls(self._write(workdir, "op.json", operator), self._write(workdir, "weight.json", weight))
+
+    @given(operator=_matrix_operators(), weight=_weights())
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matrix_operators(self, workdir, operator, weight):
+        self._sweep(workdir, operator, weight)
+
+    @given(operator=_multipliers(), weight=_weights())
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_multipliers(self, workdir, operator, weight):
+        self._sweep(workdir, operator, weight)
+
+    def test_a_largest_block(self, workdir):
+        n = MAX_BLOCK_SIZE
+        entries = np.random.default_rng(64).standard_normal(n * n) * np.ldexp(1.0, 900)
+        operator = {"algebra": {"kind": "matrix", "blocks": [n], "weights": [1.0]}, "blocks": [entries.tolist()]}
+        _check_wire_calls(self._write(workdir, "op.json", operator), f"{FIXTURES}/step_weight_21.json")
+
+    @pytest.mark.parametrize("weight", ["exp_weight.json", "step_weight_21.json"])
+    def test_overflow_fixture(self, weight):
+        _check_wire_calls(f"{FIXTURES}/overflow_block.json", f"{FIXTURES}/{weight}")

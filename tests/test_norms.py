@@ -665,3 +665,17 @@ class TestMembership:
         a = math.ldexp(1.0, exponent) * a
         assert membership_route_a(ctx, spec, a) == math.isfinite(norm_route_a(ctx, spec, a))
         assert membership_route_b(ctx, spec, a) == math.isfinite(norm_route_b(ctx, spec, a))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: capped(0.0), "cap must be positive and finite"),
+        (lambda: capped(math.inf), "cap must be positive and finite"),
+        (lambda: NormSpec("x"), "a norm spec needs an OrliczFunction"),
+    ],
+    ids=["capped-zero", "capped-inf", "spec-of-a-string"],
+)
+def test_norm_construction_errors_are_typed(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()

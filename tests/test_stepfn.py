@@ -576,3 +576,8 @@ class TestAgainstTheNumpyWrappers:
         # a comparison cannot overflow
         with pytest.raises(ValidationError, match="strictly increasing"):
             StepFunction([0.0, 1e308, -1e308], [1.0, 2.0])
+
+
+def test_generalized_inverse_of_an_infinite_plateau_is_typed():
+    with pytest.raises(ValidationError, match="an infinite plateau has no eventually-zero inverse"):
+        generalized_inverse(StepFunction([0, 1], [math.inf]))

@@ -116,6 +116,23 @@ def test_reference_checks_hold_on_tiny_operators():
     assert verify_mod._norm_axioms((ctx, a, b, 1.5)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_trace_faithful_holds_on_the_zero_operator():
+    alg = Algebra.matrix_blocks([2], [1.0])
+    ctx = WeightedContext(alg, ExpWeight())
+    assert verify_mod._trace_faithful((ctx, Operator.zero(alg))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, gap",
+    [(float("inf"), float("inf"), 0.0), (float("inf"), 1.0, float("inf")), (1.0, float("inf"), float("inf"))],
+    ids=["both-infinite", "route-a-infinite", "route-b-infinite"],
+)
+def test_route_gap_of_infinite_routes(monkeypatch, lhs, rhs, gap):
+    monkeypatch.setattr(verify_mod, "norm_route_a", lambda ctx, spec, a: lhs)
+    monkeypatch.setattr(verify_mod, "norm_route_b", lambda ctx, spec, a: rhs)
+    assert verify_mod._route_gap(None, None, None) == gap
+
+
 def test_cli_verify_reports_failure_with_counterexample(monkeypatch, capsys):
     first = verify_mod._REGISTRY[0]
     broken = dataclasses.replace(first, residual=lambda inst: 1.0)

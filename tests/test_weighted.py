@@ -634,3 +634,8 @@ def test_non_finite_payloads_are_rejected(value):
             Operator(INTERVAL_02, step=StepFunction([0.0, 1.0], [value]))
         with pytest.raises(ValidationError, match="density must be finite"):
             DensityMeasure(StepFunction([0.0, 1.0], [value]))
+
+
+def test_context_rejects_a_measure_that_is_no_weight():
+    with pytest.raises(ValidationError, match="context needs a Weight instance"):
+        WeightedContext(Algebra.matrix_blocks([1], [1.0]), LEBESGUE)
